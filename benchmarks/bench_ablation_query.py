@@ -12,10 +12,13 @@ Two sections:
    with every answer checked identical to the BFS reference.
 
 ``python benchmarks/bench_ablation_query.py [--smoke]`` runs it as a
-script; ``--smoke`` shrinks the workload for CI.
+script; ``--smoke`` shrinks the workload for CI and writes its table
+under the working directory instead of over the checked-in
+``benchmarks/results`` snapshot.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -23,8 +26,7 @@ from repro.bench import ResultWriter, TextTable, get_workload
 from repro.community import TCPIndex, online_communities, search_communities
 from repro.community.model import as_edge_set_family
 from repro.equitruss import build_index
-from repro.parallel.context import ExecutionContext
-from repro.serve import QueryDispatcher, QueryEngine
+from repro.serve import QueryEngine
 
 NETWORK = "amazon"  # TCP construction is pure Python — keep it modest
 NUM_QUERIES = 30
@@ -82,9 +84,14 @@ def _same(a, b) -> bool:
     )
 
 
-def run_serving(num_queries=SERVE_QUERIES, batch_sizes=BATCH_SIZES, network=NETWORK):
-    """Serving ablation: QueryEngine batching/caching vs per-query BFS."""
-    writer = ResultWriter("ablation_query_serving")
+def run_serving(
+    num_queries=SERVE_QUERIES, batch_sizes=BATCH_SIZES, network=NETWORK, results_dir=None
+):
+    """Serving ablation: QueryEngine batching/caching vs per-query BFS.
+
+    The table goes to ``results_dir`` (default ``benchmarks/results``).
+    """
+    writer = ResultWriter("ablation_query_serving", results_dir)
     w = get_workload(network)
     index = build_index(
         w.graph, "afforest", decomp=w.decomp, triangles=w.triangles
@@ -130,16 +137,6 @@ def run_serving(num_queries=SERVE_QUERIES, batch_sizes=BATCH_SIZES, network=NETW
     results["cached"] = t_hot
     table.add_row("components (LRU hot)", num_queries, t_hot, num_queries / t_hot, t_bfs / t_hot)
 
-    dispatcher = QueryDispatcher(
-        QueryEngine(index, ctx=ExecutionContext(backend="thread", num_workers=4), cache_size=0)
-    )
-    t0 = time.perf_counter()
-    answers = dispatcher.run([(int(q), K) for q in queries.tolist()])
-    t_disp = time.perf_counter() - t0
-    assert all(_same(a, b) for a, b in zip(reference, answers))
-    results["dispatcher"] = t_disp
-    table.add_row("dispatcher (4 threads)", num_queries, t_disp, num_queries / t_disp, t_bfs / t_disp)
-
     writer.add(table)
     writer.add(f"component precompute (one-time, per index build): {t_precompute:.4f}s")
     writer.write()
@@ -169,7 +166,7 @@ if __name__ == "__main__":
                         help="tiny fast run (CI smoke)")
     args = parser.parse_args()
     if args.smoke:
-        out = run_serving(num_queries=40, batch_sizes=(1, 16, 40))
+        out = run_serving(num_queries=40, batch_sizes=(1, 16, 40), results_dir=Path.cwd())
     else:
         run_ablation()
         out = run_serving()

@@ -10,7 +10,8 @@ motivating claim on the two large ones.
 
 from repro.bench import ResultWriter, TextTable, bar_chart, get_workload
 from repro.equitruss import equitruss_serial
-from repro.parallel import ExecutionPolicy
+from repro.equitruss.kernels import KernelBreakdown
+from repro.parallel import ExecutionContext
 
 NETWORKS = ["amazon", "dblp", "livejournal", "orkut"]
 
@@ -25,11 +26,11 @@ def run_fig2():
     shares = {}
     for name in NETWORKS:
         get_workload(name)  # warm dataset cache (generation not timed)
-        policy = ExecutionPolicy()
+        ctx = ExecutionContext()
         from repro.graph.datasets import load_dataset_graph
 
-        equitruss_serial(load_dataset_graph(name), policy=policy)
-        by = policy.trace.by_name()
+        equitruss_serial(load_dataset_graph(name), ctx=ctx)
+        by = KernelBreakdown.from_trace(ctx.tracer).seconds
         total = sum(by.values())
         sup, td, eq = by.get("Support", 0.0), by.get("TrussDecomp", 0.0), by.get("EquiTruss", 0.0)
         table.add_row(

@@ -52,7 +52,7 @@ def run_fig6():
         )
         for v in VARIANTS:
             res = run_variant(w, v, include_prereqs=True)
-            curve = machine.scaling_curve(res.trace, PAPER_THREAD_COUNTS)
+            curve = machine.scaling_curve(res.tracer, PAPER_THREAD_COUNTS)
             series[v] = curve.seconds
             curves[(name, v)] = curve
         for i, p in enumerate(PAPER_THREAD_COUNTS):
@@ -108,7 +108,7 @@ def run_backend_sweep():
     # wall-clock facts
     machine = SimulatedMachine()
     serial_res = run_variant(w, SWEEP_VARIANT, include_prereqs=True)
-    curve = machine.scaling_curve(serial_res.trace, (1, 4))
+    curve = machine.scaling_curve(serial_res.tracer, (1, 4))
     for p, secs in zip(curve.threads, curve.seconds):
         snap.add_run(
             "fig6_backend_sweep_modeled", SWEEP_NETWORK, SWEEP_VARIANT,

@@ -9,18 +9,10 @@ stand-in and model the same sweep.
 from repro.bench import ResultWriter, TextTable, get_workload, line_chart, run_variant
 from repro.bench.paper import FIG7_FRIENDSTER_SPNODE
 from repro.equitruss.kernels import SP_NODE
-from repro.parallel import Instrumentation, SimulatedMachine
+from repro.parallel import SimulatedMachine
 from repro.parallel.simulate import PAPER_THREAD_COUNTS
 
 VARIANTS = ["coptimal", "afforest"]
-
-
-def spnode_trace(trace):
-    sub = Instrumentation()
-    for region in trace.regions:
-        if region.name == SP_NODE:
-            sub.add(region)
-    return sub
 
 
 def run_fig7():
@@ -30,8 +22,8 @@ def run_fig7():
     series = {}
     for v in VARIANTS:
         res = run_variant(w, v)
-        curve = machine.scaling_curve(spnode_trace(res.trace), PAPER_THREAD_COUNTS)
-        series[v] = curve.seconds
+        curves = machine.kernel_curves(res.tracer, PAPER_THREAD_COUNTS)
+        series[v] = curves[SP_NODE].seconds
     table = TextTable(
         ["threads", *VARIANTS],
         title=f"Figure 7 (friendster stand-in, m={w.num_edges}): modeled SpNode seconds"

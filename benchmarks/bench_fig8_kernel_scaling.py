@@ -41,7 +41,7 @@ def run_fig8():
         )
         for v in VARIANTS:
             res = run_variant(w, v)
-            kernel_curves = machine.kernel_curves(res.trace, THREADS)
+            kernel_curves = machine.kernel_curves(res.tracer, THREADS)
             for i, p in enumerate(THREADS):
                 row = [
                     kernel_curves[k].seconds[i] if k in kernel_curves else 0.0

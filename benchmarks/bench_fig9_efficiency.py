@@ -27,7 +27,7 @@ def run_fig9():
         )
         for v in VARIANTS:
             res = run_variant(w, v, include_prereqs=True)
-            curve = machine.scaling_curve(res.trace, PAPER_THREAD_COUNTS)
+            curve = machine.scaling_curve(res.tracer, PAPER_THREAD_COUNTS)
             eff = curve.efficiencies()
             table.add_row(v, *eff)
             out[(name, v)] = dict(zip(PAPER_THREAD_COUNTS, eff))

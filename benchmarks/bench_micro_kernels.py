@@ -35,13 +35,9 @@ def test_triangle_enumeration(benchmark, w):
     assert tri.count == w.triangles.count
 
 
-@pytest.mark.parametrize("peeling", ["bucket", "scan"])
-def test_truss_decomposition(benchmark, w, peeling):
-    dec = benchmark(
-        lambda: truss_decomposition(w.graph, triangles=w.triangles, peeling=peeling)
-    )
+def test_truss_decomposition(benchmark, w):
+    dec = benchmark(lambda: truss_decomposition(w.graph, triangles=w.triangles))
     assert dec.kmax == w.decomp.kmax
-    benchmark.extra_info["peeling"] = peeling
     benchmark.extra_info["level_scans"] = dec.level_scans
 
 

@@ -17,7 +17,6 @@ import time
 from repro.bench import ResultWriter, TextTable, get_workload, run_variant
 from repro.bench.paper import TABLE4_SERIAL_SECONDS
 from repro.equitruss import equitruss_serial
-from repro.parallel import ExecutionPolicy
 
 NETWORKS = ["amazon", "dblp", "livejournal", "orkut"]
 #: the dict-based original is O(pure-Python triangle visits); cap it to
@@ -44,9 +43,7 @@ def run_table4():
             )
         if name in ORIGINAL_NETWORKS:
             t0 = time.perf_counter()
-            equitruss_serial(
-                w.graph, decomp=w.decomp, policy=ExecutionPolicy(), lookup="dict"
-            )
+            equitruss_serial(w.graph, decomp=w.decomp, lookup="dict")
             secs["original"] = time.perf_counter() - t0
             orig_txt = secs["original"]
         else:

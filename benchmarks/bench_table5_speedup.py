@@ -42,8 +42,8 @@ def run_table5():
             ref["supernodes"], ref["superedges"],
         )
         for v in VARIANTS:
-            t1 = results[v].trace.total_seconds
-            t128 = machine.predicted_time(results[v].trace, 128)
+            t1 = results[v].seconds
+            t128 = machine.predicted_time(results[v].tracer, 128)
             sp = t1 / t128
             speed_table.add_row(name, v, t1, t128, sp, ref[v][2])
             speedups[(name, v)] = sp

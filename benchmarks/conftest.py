@@ -14,7 +14,7 @@ Trace dumps
 -----------
 Set ``REPRO_TRACE_DIR=/some/dir`` to write one JSONL span trace per
 bench invocation whose workload returns something traceable (a
-``BuildResult``, an ``Instrumentation``, or a ``Tracer``). Two dump
+``BuildResult``, an ``ExecutionContext``, or a ``Tracer``). Two dump
 directories from different commits diff with::
 
     python - <<'PY'
@@ -34,13 +34,10 @@ def _extract_tracer(result):
     """Pull a Tracer out of whatever a workload returned, if any."""
     from repro.obs.trace import Tracer
 
-    for candidate in (result, getattr(result, "trace", None)):
-        if isinstance(candidate, Tracer):
-            return candidate
-        tracer = getattr(candidate, "tracer", None)
-        if isinstance(tracer, Tracer):
-            return tracer
-    return None
+    if isinstance(result, Tracer):
+        return result
+    tracer = getattr(result, "tracer", None)
+    return tracer if isinstance(tracer, Tracer) else None
 
 
 def _maybe_dump_trace(result, test_name: str) -> None:

@@ -34,7 +34,6 @@ from pathlib import Path
 WORKER_COUNTERS = (
     "repro.triangles.support_updates",
     "repro.truss.support_decrements",
-    "repro.truss.bucket_moves",
     "repro.equitruss.superedge_candidates",
 )
 

@@ -40,7 +40,7 @@ def main() -> None:
     print(table.render(), "\n")
 
     series = {
-        v: machine.scaling_curve(r.trace, PAPER_THREAD_COUNTS).seconds
+        v: machine.scaling_curve(r.tracer, PAPER_THREAD_COUNTS).seconds
         for v, r in results.items()
     }
     print(line_chart(list(PAPER_THREAD_COUNTS), series,
@@ -50,7 +50,7 @@ def main() -> None:
     eff_table = TextTable(["variant", *[f"{p}t" for p in PAPER_THREAD_COUNTS]],
                           title="Modeled parallel efficiency (%)")
     for v, r in results.items():
-        curve = machine.scaling_curve(r.trace, PAPER_THREAD_COUNTS)
+        curve = machine.scaling_curve(r.tracer, PAPER_THREAD_COUNTS)
         eff_table.add_row(v, *[f"{e:.0f}" for e in curve.efficiencies()])
     print(eff_table.render())
 

@@ -49,7 +49,7 @@ from repro.community import (
     search_communities_multi,
     top_r_communities,
 )
-from repro.serve import QueryCache, QueryDispatcher, QueryEngine
+from repro.serve import QueryCache, QueryEngine
 from repro.core_decomp import core_decomposition, kcore_community
 from repro.distributed import (
     distributed_components,
@@ -59,8 +59,6 @@ from repro.distributed import (
 from repro.parallel import (
     DtypePolicy,
     ExecutionContext,
-    ExecutionPolicy,
-    Instrumentation,
     MachineProfile,
     SimulatedMachine,
     Workspace,
@@ -106,7 +104,6 @@ __all__ = [
     "top_r_communities",
     # query serving
     "QueryCache",
-    "QueryDispatcher",
     "QueryEngine",
     # k-core comparator
     "core_decomposition",
@@ -118,8 +115,6 @@ __all__ = [
     # parallel runtime
     "DtypePolicy",
     "ExecutionContext",
-    "ExecutionPolicy",
-    "Instrumentation",
     "MachineProfile",
     "SimulatedMachine",
     "Workspace",

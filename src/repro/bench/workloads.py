@@ -75,10 +75,10 @@ def run_variant(
         # trace (the REPRO_TRACE_DIR hook in benchmarks/conftest.py).
         wrapper = ambient.add(
             "Run",
-            result.trace.tracer.total_seconds,
+            result.tracer.total_seconds,
             workload=workload.name,
             variant=variant,
             num_workers=num_workers,
         )
-        wrapper.children.extend(result.trace.tracer.roots)
+        wrapper.children.extend(result.tracer.roots)
     return result

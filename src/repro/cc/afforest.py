@@ -96,16 +96,13 @@ def afforest(
     neighbor_rounds: int = 2,
     ctx: ExecutionContext | None = None,
     seed: int | np.random.Generator | None = 0,
-    *,
-    policy=None,
 ) -> np.ndarray:
     """Component label per vertex via Afforest.
 
     The sampling seed only affects which component is skipped in the
-    finish phase, never the resulting partition. ``policy`` is a
-    deprecated alias for ``ctx``.
+    finish phase, never the resulting partition.
     """
-    ctx = ExecutionContext.ensure(ctx if ctx is not None else policy)
+    ctx = ExecutionContext.ensure(ctx)
     comp = np.arange(graph.num_vertices, dtype=np.int64)
     nodes = np.arange(graph.num_vertices, dtype=np.int64)
     with ctx.region("Afforest", work=0, rounds=0, intensity="memory"):

@@ -36,15 +36,12 @@ def connected_components(
     method: str = "afforest",
     ctx: ExecutionContext | None = None,
     normalize: bool = True,
-    *,
-    policy=None,
 ) -> np.ndarray:
     """Component labels for every vertex.
 
     ``method`` ∈ {sv, afforest, label_prop, bfs, union_find}. With
     ``normalize=True`` labels are densified to 0..C-1 so outputs of all
-    methods compare equal directly. ``policy`` is a deprecated alias for
-    ``ctx``.
+    methods compare equal directly.
     """
     try:
         fn = _METHODS[method]
@@ -52,6 +49,5 @@ def connected_components(
         raise InvalidParameterError(
             f"unknown CC method {method!r}; available: {sorted(_METHODS)}"
         ) from None
-    resolved = ExecutionContext.ensure(ctx if ctx is not None else policy)
-    comp = fn(graph, ctx=resolved)
+    comp = fn(graph, ctx=ExecutionContext.ensure(ctx))
     return normalize_labels(comp) if normalize else comp

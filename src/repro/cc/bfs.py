@@ -16,11 +16,9 @@ from repro.parallel.context import ExecutionContext
 def bfs_components(
     graph: CSRGraph,
     ctx: ExecutionContext | None = None,
-    *,
-    policy=None,
 ) -> np.ndarray:
     """Component label per vertex (minimum vertex id in its component)."""
-    ctx = ExecutionContext.ensure(ctx if ctx is not None else policy)
+    ctx = ExecutionContext.ensure(ctx)
     n = graph.num_vertices
     comp = np.full(n, -1, dtype=np.int64)
     indptr, indices = graph.indptr, graph.indices

@@ -17,11 +17,9 @@ from repro.parallel.context import ExecutionContext
 def label_propagation(
     graph: CSRGraph,
     ctx: ExecutionContext | None = None,
-    *,
-    policy=None,
 ) -> np.ndarray:
     """Component label per vertex (minimum vertex id in its component)."""
-    ctx = ExecutionContext.ensure(ctx if ctx is not None else policy)
+    ctx = ExecutionContext.ensure(ctx)
     n = graph.num_vertices
     comp = np.arange(n, dtype=np.int64)
     u, v = graph.edges.u, graph.edges.v

@@ -18,16 +18,13 @@ from repro.cc.core import minlabel_hook_rounds
 def shiloach_vishkin(
     graph: CSRGraph,
     ctx: ExecutionContext | None = None,
-    *,
-    policy=None,
 ) -> np.ndarray:
     """Component label per vertex (the minimum vertex id of its component).
 
     Records one ``SV`` region in the context trace; work = edges scanned
-    per hooking round, rounds = hooking iterations. ``policy`` is a
-    deprecated alias for ``ctx``.
+    per hooking round, rounds = hooking iterations.
     """
-    ctx = ExecutionContext.ensure(ctx if ctx is not None else policy)
+    ctx = ExecutionContext.ensure(ctx)
     comp = np.arange(graph.num_vertices, dtype=np.int64)
     with ctx.region("SV", work=0, rounds=0, intensity="memory"):
         rounds = minlabel_hook_rounds(comp, graph.edges.u, graph.edges.v, ctx=ctx)

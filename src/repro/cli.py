@@ -134,9 +134,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if args.trace_out:
         from repro.obs.export import write_trace_jsonl
 
-        path = write_trace_jsonl(result.trace.tracer, args.trace_out)
+        path = write_trace_jsonl(result.tracer, args.trace_out)
         print(f"wrote trace -> {path}")
-        log.info(kv("trace_out", path=str(path), spans=len(result.trace.tracer)))
+        log.info(kv("trace_out", path=str(path), spans=len(result.tracer)))
     if args.metrics_out:
         from repro.obs.export import write_metrics_json
 
@@ -192,6 +192,19 @@ def _parse_batch_file(path: str, default_k: int | None) -> list[tuple[int, int]]
     return requests
 
 
+def _query_by_k(engine, requests: list[tuple[int, int]]) -> list:
+    """One ``engine.query_many`` per distinct k; answers in request order."""
+    by_k: dict[int, list[int]] = {}
+    for i, (_, k) in enumerate(requests):
+        by_k.setdefault(k, []).append(i)
+    answers: list = [None] * len(requests)
+    for k, idxs in by_k.items():
+        batch = engine.query_many([requests[i][0] for i in idxs], k)
+        for i, communities in zip(idxs, batch):
+            answers[i] = communities
+    return answers
+
+
 def _print_communities(communities, label: str) -> None:
     for i, c in enumerate(communities):
         verts = c.vertices()
@@ -237,12 +250,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 2
         t0 = time.perf_counter()
-        if use_components:
-            from repro.serve import QueryDispatcher
-
-            answers = QueryDispatcher(engine, ctx=ctx).run(requests)
-        else:
-            with ctx.region("ServeBatch", work=len(requests), parallel=False):
+        with ctx.region("ServeBatch", work=len(requests), parallel=False):
+            if use_components:
+                answers = _query_by_k(engine, requests)
+            else:
                 answers = [search_communities(index, v, k, ctx=ctx) for v, k in requests]
         elapsed = time.perf_counter() - t0
         for (v, k), communities in zip(requests, answers):

@@ -48,7 +48,7 @@ def search_communities(
     sn_k = index.supernode_trussness
     visited = np.zeros(index.num_supernodes, dtype=bool)
     communities: list[Community] = []
-    with ctx.region("Query", work=0, parallel=False) as handle:
+    with ctx.region("Query", work=0, parallel=False) as sp:
         for anchor in anchors.tolist():
             if visited[anchor]:
                 continue
@@ -62,7 +62,7 @@ def search_communities(
                     if not visited[other] and sn_k[other] >= k:
                         visited[other] = True
                         queue.append(other)
-            handle.work += len(group)
+            sp.attrs["work"] += len(group)
             edge_ids = np.sort(np.concatenate([index.edges_of(sn) for sn in group]))
             communities.append(Community(k=k, edge_ids=edge_ids, graph=index.graph))
     return canonical_order(communities)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.parallel.instrument import Instrumentation
+from repro.obs.trace import Tracer
+from repro.parallel.context import region_spans
 
 #: Kernel names in the paper's Figure 4 order.
 SUPPORT = "Support"
@@ -27,13 +28,17 @@ KERNELS = (SUPPORT, INIT, SP_NODE, SP_EDGE, SM_GRAPH, SP_NODE_REMAP)
 
 @dataclass
 class KernelBreakdown:
-    """Seconds per kernel extracted from an instrumentation trace."""
+    """Seconds per kernel extracted from a run's region spans."""
 
     seconds: dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def from_trace(cls, trace: Instrumentation) -> "KernelBreakdown":
-        return cls(seconds=trace.by_name())
+    def from_trace(cls, tracer: Tracer) -> "KernelBreakdown":
+        """Seconds of the region spans summed per name, in the order regions closed."""
+        seconds: dict[str, float] = {}
+        for sp in region_spans(tracer):
+            seconds[sp.name] = seconds.get(sp.name, 0.0) + sp.seconds
+        return cls(seconds=seconds)
 
     @property
     def total(self) -> float:

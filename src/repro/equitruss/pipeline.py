@@ -6,8 +6,8 @@ instrumentation::
     Support → TrussDecomp → Init → (SpNode → SpEdge) per level
             → SmGraph → SpNodeRemap
 
-and returns the canonical :class:`EquiTrussIndex` plus the region trace
-that the benchmarks feed into the machine model.
+and returns the canonical :class:`EquiTrussIndex` plus the run's
+tracer, whose region spans the benchmarks feed into the machine model.
 
 Execution is configured by a single
 :class:`~repro.parallel.context.ExecutionContext`: backend + workers,
@@ -43,8 +43,8 @@ from repro.equitruss.variants import (
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.obs import metrics
+from repro.obs.trace import Tracer
 from repro.parallel.context import ExecutionContext
-from repro.parallel.instrument import Instrumentation
 from repro.triangles.enumerate import TriangleSet, enumerate_triangles
 from repro.truss.decompose import TrussDecomposition, truss_decomposition
 
@@ -83,10 +83,10 @@ VARIANTS: dict[str, VariantSpec] = {
 
 @dataclass
 class BuildResult:
-    """Index + instrumentation of one pipeline run."""
+    """Index + span trace of one pipeline run."""
 
     index: EquiTrussIndex
-    trace: Instrumentation
+    tracer: Tracer
     variant: str
     num_workers: int
     #: the context the build ran under (dtype policy, workspace, backend).
@@ -96,11 +96,12 @@ class BuildResult:
 
     @property
     def breakdown(self) -> KernelBreakdown:
-        return KernelBreakdown.from_trace(self.trace)
+        return KernelBreakdown.from_trace(self.tracer)
 
     @property
     def seconds(self) -> float:
-        return self.trace.total_seconds
+        """Summed region seconds (the breakdown's total)."""
+        return self.breakdown.total
 
 
 def _publish_mem_gauges(
@@ -133,7 +134,6 @@ def build_index(
     *,
     store_path=None,
     store_generation: int = 1,
-    policy=None,
 ) -> BuildResult:
     """Construct the EquiTruss index with the chosen parallel variant.
 
@@ -141,7 +141,7 @@ def build_index(
     kernels (the paper's index-construction timings assume trussness is
     precomputed). All variants — and all dtype policies — return
     identical canonical indexes. ``num_workers`` defaults to the
-    context's worker count; ``policy`` is a deprecated alias for ``ctx``.
+    context's worker count.
 
     ``store_path`` additionally persists the result as a
     :mod:`repro.store` artifact (atomic swap; includes the precomputed
@@ -155,10 +155,9 @@ def build_index(
             f"unknown variant {variant!r}; available: {sorted(VARIANTS)}"
         )
     spec = VARIANTS[variant]
-    ctx = ExecutionContext.ensure(ctx if ctx is not None else policy)
+    ctx = ExecutionContext.ensure(ctx)
     if num_workers is None:
         num_workers = ctx.num_workers
-    trace = ctx.trace
     edge_dt = ctx.edge_dtype(graph.num_edges)
 
     build_span = ctx.tracer.begin(
@@ -173,9 +172,9 @@ def build_index(
     try:
         # ----------------------------------------------------------- Support
         if triangles is None:
-            with ctx.region(SUPPORT, work=graph.num_edges, intensity="mixed") as h:
+            with ctx.region(SUPPORT, work=graph.num_edges, intensity="mixed") as sp:
                 triangles = enumerate_triangles(graph, ctx=ctx)
-                h.work = max(triangles.count, 1)
+                sp.set(work=triangles.count)
 
         # ------------------------------------------------------- TrussDecomp
         if decomp is None:
@@ -183,7 +182,7 @@ def build_index(
         tau = decomp.trussness
 
         # -------------------------------------------------------------- Init
-        with ctx.region(INIT, work=graph.num_edges, intensity="memory") as h:
+        with ctx.region(INIT, work=graph.num_edges, intensity="memory") as sp:
             comp = np.arange(graph.num_edges, dtype=edge_dt)
             if variant == "baseline":
                 # Baseline groups Φ_k sets only; triangle tables are
@@ -194,7 +193,7 @@ def build_index(
                     triangles, tau, with_adjacency=(variant == "afforest"), ctx=ctx
                 )
                 levels_arr = levels.levels
-                h.work = graph.num_edges + levels.num_hook_pairs
+                sp.set(work=graph.num_edges + levels.num_hook_pairs)
                 metrics.inc("repro.equitruss.hook_pairs", levels.num_hook_pairs)
         metrics.set_gauge("repro.equitruss.levels", int(levels_arr.size))
 
@@ -265,6 +264,6 @@ def build_index(
                 generation=store_generation, ctx=ctx,
             )
     return BuildResult(
-        index=index, trace=trace, variant=variant, num_workers=num_workers,
+        index=index, tracer=ctx.tracer, variant=variant, num_workers=num_workers,
         ctx=ctx, store_path=store_path,
     )

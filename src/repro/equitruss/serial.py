@@ -33,19 +33,16 @@ def equitruss_serial(
     decomp: TrussDecomposition | None = None,
     ctx: ExecutionContext | None = None,
     lookup: str = "array",
-    *,
-    policy=None,
 ) -> EquiTrussIndex:
     """Build the EquiTruss index with the serial Algorithm 1.
 
     Records ``Support``/``TrussDecomp`` regions when the decomposition is
     computed here, and a single serial ``EquiTruss`` region for the index
-    construction itself (the paper's Figure 2 breakdown). ``policy`` is a
-    deprecated alias for ``ctx``.
+    construction itself (the paper's Figure 2 breakdown).
     """
     if lookup not in ("array", "dict"):
         raise InvalidParameterError(f"lookup must be 'array' or 'dict', got {lookup!r}")
-    ctx = ExecutionContext.ensure(ctx if ctx is not None else policy)
+    ctx = ExecutionContext.ensure(ctx)
     if decomp is None:
         from repro.triangles.enumerate import enumerate_triangles
 

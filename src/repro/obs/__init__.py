@@ -1,8 +1,7 @@
 """Unified observability layer: spans, metrics, exporters, reports.
 
-* :mod:`repro.obs.trace` — hierarchical span tracer backing both
-  :class:`repro.parallel.instrument.Instrumentation` and
-  :class:`repro.utils.timing.KernelTimer`;
+* :mod:`repro.obs.trace` — hierarchical span tracer, the one record of
+  a run (``ExecutionContext.region`` opens its spans);
 * :mod:`repro.obs.metrics` — process-wide counters / gauges / histograms
   under the stable ``repro.*`` namespace;
 * :mod:`repro.obs.export` — JSONL trace + JSON metrics files;
@@ -13,7 +12,7 @@
 Only the light ``trace``/``metrics`` symbols are re-exported here — the
 exporters and reports import the bench layer and are pulled in by path
 (``from repro.obs.export import ...``) to keep the core import-cycle
-free (``parallel.instrument`` imports this package at interpreter
+free (``parallel.context`` imports this package at interpreter
 startup).
 """
 

@@ -2,21 +2,18 @@
 
 A :class:`Tracer` records a tree of named :class:`Span` objects, each
 carrying wall-clock ``seconds`` plus free-form ``attrs`` (kernel name,
-level ``k``, work items, rounds, intensity, bytes touched, ...). It
-subsumes the two older mechanisms:
-
-* :class:`repro.utils.timing.KernelTimer` is now a flat-aggregation
-  adapter over a tracer;
-* :class:`repro.parallel.instrument.Instrumentation` opens one span per
-  recorded region, so every ``ExecutionPolicy`` run yields a full span
-  tree for free.
+level ``k``, work items, rounds, intensity, bytes touched, ...). It is
+the only record of a run: every
+:meth:`repro.parallel.context.ExecutionContext.region` is a span on the
+context's tracer, and the per-kernel breakdown and the machine model
+read those region spans back.
 
 Span start times are seconds relative to the owning tracer's epoch
 (``time.perf_counter`` at construction). Traces export to JSONL via
 :mod:`repro.obs.export` and render via :mod:`repro.obs.report`.
 
 An *ambient* tracer can be installed with :func:`use_tracer`; code that
-is not threaded through an ``ExecutionPolicy`` (e.g. the distributed
+is not threaded through an ``ExecutionContext`` (e.g. the distributed
 drivers) opens spans on it through the module-level :func:`span`
 helper, which degrades to a no-op when no tracer is active.
 """
@@ -121,7 +118,7 @@ class Tracer:
         return sp
 
     def graft(self, other: "Tracer") -> None:
-        """Adopt another tracer's root spans (used by ``Instrumentation.extend``).
+        """Adopt another tracer's root spans.
 
         Grafted spans keep their original epoch-relative start offsets.
         """

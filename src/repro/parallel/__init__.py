@@ -13,21 +13,20 @@ directly, so this package provides three coordinated pieces:
   a persistent pool of forked workers operating on zero-copy
   ``multiprocessing.shared_memory`` arrays, fed by kernels ported to
   the partition → privatize → reduce shape of PKT.
-* **Instrumentation** (:mod:`repro.parallel.instrument`) — every
-  algorithm kernel wraps its parallel regions in
-  ``Instrumentation.region(...)`` spans recording measured seconds, the
-  amount of parallelizable work, the number of barrier-synchronized
-  rounds, and the region's arithmetic intensity class.
+* **ExecutionContext** (:mod:`repro.parallel.context`) — the one
+  execution handle: backend, workers, dtype policy, workspace and the
+  run's tracer. Every algorithm kernel wraps its parallel regions in
+  ``ctx.region(...)`` spans recording measured seconds, the amount of
+  parallelizable work, the number of barrier-synchronized rounds, and
+  the region's arithmetic intensity class.
 * **SimulatedMachine** (:mod:`repro.parallel.simulate`) — converts the
-  recorded region trace into predicted T(p) for a Perlmutter-like
+  recorded region spans into predicted T(p) for a Perlmutter-like
   :class:`MachineProfile`, producing the strong-scaling and efficiency
   curves of the paper's Figures 6–9.
 """
 
-from repro.parallel.api import ExecutionPolicy
 from repro.parallel.backends import SerialBackend, ThreadBackend, get_backend, parallel_for
 from repro.parallel.context import DtypePolicy, ExecutionContext, Workspace
-from repro.parallel.instrument import Instrumentation, Region
 from repro.parallel.partition import block_ranges, cyclic_indices, guided_ranges
 from repro.parallel.shm import (
     ProcessBackend,
@@ -42,14 +41,11 @@ __all__ = [
     "AtomicArray",
     "DtypePolicy",
     "ExecutionContext",
-    "ExecutionPolicy",
     "ProcessBackend",
     "SharedArrayPool",
     "SharedHandle",
     "Workspace",
-    "Instrumentation",
     "MachineProfile",
-    "Region",
     "ScalingCurve",
     "SerialBackend",
     "SimulatedMachine",

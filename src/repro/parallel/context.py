@@ -1,10 +1,8 @@
 """Unified execution context: backend, dtypes, workspaces, observability.
 
-Before this module, execution configuration was smeared across three
-ad-hoc mechanisms — :class:`~repro.parallel.api.ExecutionPolicy`
-(backend + workers + trace), raw ``handle=`` parameters on the kernel
-modules, and the ambient tracer. :class:`ExecutionContext` bundles all
-of them plus two new knobs the bandwidth-bound kernels need:
+:class:`ExecutionContext` is the one execution handle every kernel
+takes: backend + workers, the :class:`~repro.obs.trace.Tracer` that
+records the run, and two knobs the bandwidth-bound kernels need:
 
 * a :class:`DtypePolicy` — pick the narrowest index dtype that fits
   ``|V|``, ``2|E|`` and (for keyed lookups) the product ``u·N + v``
@@ -18,9 +16,27 @@ of them plus two new knobs the bandwidth-bound kernels need:
   ``repro.mem.workspace_high_water``.
 
 Every kernel entry point accepts ``ctx``; :meth:`ExecutionContext.ensure`
-normalizes ``None``, a legacy ``ExecutionPolicy``, or a bare region
-handle (anything with ``add_round``), so existing call sites keep
-working unchanged.
+turns ``None`` into a fresh serial context.
+
+Instrumented regions
+--------------------
+Kernels wrap their parallel regions in :meth:`ExecutionContext.region`,
+which opens a tracer span carrying the machine-model attributes:
+
+* ``work`` — number of parallelizable items processed,
+* ``rounds`` — barrier-synchronized sub-phases inside the region
+  (an SV hooking iteration is one round),
+* ``intensity`` — arithmetic-intensity class used by the machine model
+  to pick a memory-bandwidth-bound fraction (compute-heavy kernels scale
+  further than bandwidth-bound ones, which is exactly why the paper's
+  *Baseline* shows higher raw speedup than the optimized variants §4.3),
+* ``parallel`` — ``False`` marks inherently serial sections.
+
+The span's ``seconds`` is the measured wall-clock time. The ``intensity``
+attr is what marks a span as a region: :func:`region_spans` selects
+exactly those, skipping structural wrappers and worker spans, and feeds
+:class:`repro.parallel.simulate.SimulatedMachine` and
+:class:`repro.equitruss.kernels.KernelBreakdown`.
 """
 
 from __future__ import annotations
@@ -32,6 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.obs.trace import Span, Tracer
 from repro.parallel.backends import (
     SerialBackend,
     ThreadBackend,
@@ -39,7 +56,6 @@ from repro.parallel.backends import (
     close_backend,
     get_backend,
 )
-from repro.parallel.instrument import Instrumentation, _RegionHandle
 from repro.utils.validation import check_positive
 
 #: Names accepted by :class:`DtypePolicy`.
@@ -57,6 +73,26 @@ def fits_int32(max_value: int) -> bool:
 def array_nbytes(*arrays) -> int:
     """Total bytes of the given arrays, skipping ``None`` entries."""
     return sum(int(a.nbytes) for a in arrays if a is not None)
+
+
+def region_spans(tracer: Tracer) -> list[Span]:
+    """The region spans of ``tracer`` in the order they closed.
+
+    A region span carries the ``intensity`` attr (see the module
+    docstring); nested regions close before their parents, so the
+    order is a post-order walk.
+    """
+    out: list[Span] = []
+
+    def visit(sp: Span) -> None:
+        for child in sp.children:
+            visit(child)
+        if "intensity" in sp.attrs:
+            out.append(sp)
+
+    for root in tracer.roots:
+        visit(root)
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,11 +211,11 @@ class ExecutionContext:
     The single object threaded through every layer of the pipeline. Use
     :meth:`ensure` to normalize optional arguments::
 
-        ctx = ExecutionContext.ensure(ctx)   # None / policy / handle ok
+        ctx = ExecutionContext.ensure(ctx)   # None -> serial context
 
     Kernels report barrier-synchronized rounds with :meth:`add_round`,
-    which targets the innermost open :meth:`region`; with no region open
-    it is a no-op, so kernels never need ``handle=None`` plumbing.
+    which targets the innermost open :meth:`region` span; with no region
+    open it is a no-op.
 
     The context *owns* its backend's OS resources: the thread backend's
     persistent pool and the process backend's worker processes + shared
@@ -190,7 +226,7 @@ class ExecutionContext:
 
     backend: str | SerialBackend | ThreadBackend = "serial"
     num_workers: int = 1
-    trace: Instrumentation = field(default_factory=Instrumentation)
+    tracer: Tracer = field(default_factory=Tracer)
     dtype: DtypePolicy | str = "auto"
     workspace: Workspace = field(default_factory=Workspace)
     #: contiguous-range partitioning strategy for the fan-out kernels:
@@ -199,7 +235,7 @@ class ExecutionContext:
     #: count. Both produce bit-identical results — only task boundaries
     #: (and therefore worker balance) differ.
     partition: str = "balanced"
-    _handles: list = field(default_factory=list, repr=False)
+    _regions: list[Span] = field(default_factory=list, repr=False)
     _closers: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -220,28 +256,18 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     @classmethod
     def ensure(cls, obj=None) -> "ExecutionContext":
-        """Normalize ``None`` / ``ExecutionPolicy`` / region handle / ctx."""
+        """``obj`` itself, or a fresh serial context for ``None``."""
         if obj is None:
             return cls()
         if isinstance(obj, ExecutionContext):
             return obj
-        # Legacy ExecutionPolicy (duck-typed to avoid a circular import).
-        if hasattr(obj, "backend") and hasattr(obj, "trace"):
-            return cls(
-                backend=obj.backend, num_workers=obj.num_workers, trace=obj.trace
-            )
-        # Bare region handle (the pre-context ``handle=`` convention).
-        if hasattr(obj, "add_round"):
-            ctx = cls()
-            ctx._handles.append(obj)
-            return ctx
         raise InvalidParameterError(
             f"cannot build an ExecutionContext from {type(obj).__name__}"
         )
 
     def with_dtype(self, dtype: DtypePolicy | str) -> "ExecutionContext":
         """Copy of this context under a different dtype policy."""
-        return replace(self, dtype=DtypePolicy.of(dtype), _handles=[], _closers=[])
+        return replace(self, dtype=DtypePolicy.of(dtype), _regions=[], _closers=[])
 
     # ------------------------------------------------------------------
     # Dtype decisions
@@ -264,33 +290,47 @@ class ExecutionContext:
         self.backend.run(n, chunk_fn, self.num_workers)
 
     @contextmanager
-    def region(self, name: str, **kwargs) -> Iterator[_RegionHandle]:
-        """Open an instrumented region; nested kernels reach its handle
-        through :meth:`add_round`. The workspace high-water at exit is
-        attached to the span as ``ws_peak``."""
-        with self.trace.region(name, **kwargs) as handle:  # repro: allow(REP004) — forwarding wrapper
-            self._handles.append(handle)
+    def region(
+        self,
+        name: str,
+        work: int = 1,
+        rounds: int = 1,
+        intensity: str = "mixed",
+        parallel: bool = True,
+    ) -> Iterator[Span]:
+        """Open an instrumented region span and yield it.
+
+        ``work``/``rounds`` may be updated on the span's attrs (or via
+        :meth:`add_round`) when they are only known after execution;
+        both are floored at 1 when the span closes. The workspace
+        high-water at exit is attached as ``ws_peak``.
+        """
+        with self.tracer.span(
+            name, work=work, rounds=rounds, intensity=intensity, parallel=parallel
+        ) as sp:
+            self._regions.append(sp)
             try:
-                yield handle
+                yield sp
             finally:
-                self._handles.pop()
-                handle.attrs["ws_peak"] = self.workspace.high_water
+                self._regions.pop()
+                sp.set(
+                    work=max(int(sp.attrs["work"]), 1),
+                    rounds=max(int(sp.attrs["rounds"]), 1),
+                    ws_peak=self.workspace.high_water,
+                )
 
     def add_round(self, work: int) -> None:
-        """Record one barrier-synchronized round on the innermost region."""
-        if self._handles:
-            self._handles[-1].add_round(work)
+        """Record one barrier-synchronized round of ``work`` items on the
+        innermost region (no-op outside)."""
+        if self._regions:
+            attrs = self._regions[-1].attrs
+            attrs["rounds"] += 1
+            attrs["work"] += int(work)
 
     def annotate(self, **attrs) -> None:
         """Attach attributes to the innermost open region (no-op outside)."""
-        if self._handles:
-            handle = self._handles[-1]
-            if hasattr(handle, "attrs"):
-                handle.attrs.update(attrs)
-
-    @property
-    def tracer(self):
-        return self.trace.tracer
+        if self._regions:
+            self._regions[-1].set(**attrs)
 
     @property
     def shared_pool(self):

@@ -453,26 +453,22 @@ class ProcessBackend:
                     attrs["work"] = int(work[i])
                 sp = ctx.tracer.add(f"{label}[{i}]", s, **attrs)
                 merge_envelope(envelopes[i], sp, registry)
-            annotate = getattr(ctx, "annotate", None)
-            if annotate is not None:
-                extra = {}
-                if work is not None and len(work):
-                    # estimated-work imbalance of the *partition* itself
-                    # (max/mean of the per-task work estimate) — on a
-                    # loaded 1-core CI host task seconds are noisy, so
-                    # this is the attr that proves a balanced split.
-                    wmean = sum(work) / len(work)
-                    extra["work_imbalance"] = round(
-                        (max(work) / wmean) if wmean > 0 else 1.0, 4
-                    )
-                partition = getattr(ctx, "partition", None)
-                if partition is not None:
-                    extra["partition"] = partition
-                annotate(
-                    workers=len(tasks),
-                    imbalance=round(float(imbalance), 4),
-                    **extra,
+            extra = {}
+            if work is not None and len(work):
+                # estimated-work imbalance of the *partition* itself
+                # (max/mean of the per-task work estimate) — on a
+                # loaded 1-core CI host task seconds are noisy, so
+                # this is the attr that proves a balanced split.
+                wmean = sum(work) / len(work)
+                extra["work_imbalance"] = round(
+                    (max(work) / wmean) if wmean > 0 else 1.0, 4
                 )
+            ctx.annotate(
+                workers=len(tasks),
+                imbalance=round(float(imbalance), 4),
+                **extra,
+                partition=ctx.partition,
+            )
         else:
             for envelope in envelopes:
                 merge_envelope(envelope, None, registry)

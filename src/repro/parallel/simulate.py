@@ -3,7 +3,10 @@
 This environment has one physical core, so the paper's 1–128-thread
 curves (Figs. 6–9) cannot be measured directly. Instead, algorithms run
 single-threaded (vectorized) under instrumentation and the model below
-converts the measured trace into predicted T(p).
+converts the measured trace into predicted T(p). It reads only the
+region spans of a :class:`~repro.obs.trace.Tracer` (those opened by
+:meth:`~repro.parallel.context.ExecutionContext.region`, see
+:func:`~repro.parallel.context.region_spans`).
 
 Model
 -----
@@ -33,7 +36,11 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidParameterError
-from repro.parallel.instrument import INTENSITIES, Instrumentation
+from repro.obs.trace import Span, Tracer
+from repro.parallel.context import region_spans
+
+#: Valid arithmetic-intensity classes of a region.
+INTENSITIES = ("compute", "mixed", "memory")
 
 
 @dataclass(frozen=True)
@@ -96,44 +103,64 @@ class SimulatedMachine:
     def __init__(self, profile: MachineProfile | None = None) -> None:
         self.profile = profile or MachineProfile()
 
-    def predicted_time(self, trace: Instrumentation, threads: int) -> float:
+    def predicted_time(self, tracer: Tracer, threads: int) -> float:
         """Predicted wall-clock seconds of the traced run on ``threads``."""
+        return self._predict(_regions(tracer), threads)
+
+    def _predict(self, regions: list[Span], threads: int) -> float:
         if threads < 1:
             raise InvalidParameterError("threads must be >= 1")
         prof = self.profile
         total = 0.0
         log_p = math.ceil(math.log2(threads)) if threads > 1 else 0
-        for region in trace.regions:
-            if not region.parallel or threads == 1:
+        for region in regions:
+            attrs = region.attrs
+            if not attrs["parallel"] or threads == 1:
                 total += region.seconds
                 continue
-            beta = prof.bandwidth_fraction[region.intensity]
+            beta = prof.bandwidth_fraction[attrs["intensity"]]
             scal = (1.0 - beta) / threads + beta / min(threads, prof.bandwidth_saturation)
             total += region.seconds * scal
-            total += region.rounds * prof.barrier_seconds * log_p
+            total += attrs["rounds"] * prof.barrier_seconds * log_p
         return total
 
     def scaling_curve(
         self,
-        trace: Instrumentation,
+        tracer: Tracer,
         threads: tuple[int, ...] = PAPER_THREAD_COUNTS,
     ) -> ScalingCurve:
         """Predicted T(p) across a thread sweep."""
+        return self._curve(_regions(tracer), threads)
+
+    def _curve(self, regions: list[Span], threads: tuple[int, ...]) -> ScalingCurve:
         counts = [t for t in threads if t <= self.profile.max_threads]
         return ScalingCurve(
             threads=counts,
-            seconds=[self.predicted_time(trace, t) for t in counts],
+            seconds=[self._predict(regions, t) for t in counts],
         )
 
     def kernel_curves(
         self,
-        trace: Instrumentation,
+        tracer: Tracer,
         threads: tuple[int, ...] = PAPER_THREAD_COUNTS,
     ) -> dict[str, ScalingCurve]:
         """Per-kernel scaling curves (regions grouped by name)."""
-        groups: dict[str, Instrumentation] = {}
-        for region in trace.regions:
-            groups.setdefault(region.name, Instrumentation()).add(region)
-        return {
-            name: self.scaling_curve(sub, threads) for name, sub in groups.items()
-        }
+        groups: dict[str, list[Span]] = {}
+        for region in _regions(tracer):
+            groups.setdefault(region.name, []).append(region)
+        return {name: self._curve(sub, threads) for name, sub in groups.items()}
+
+
+def _regions(tracer: Tracer) -> list[Span]:
+    """The region spans of ``tracer``, with their intensity and rounds checked."""
+    regions = region_spans(tracer)
+    for region in regions:
+        intensity = region.attrs["intensity"]
+        if intensity not in INTENSITIES:
+            raise InvalidParameterError(
+                f"region {region.name!r}: intensity must be one of "
+                f"{INTENSITIES}, got {intensity!r}"
+            )
+        if region.attrs["rounds"] < 1:
+            raise InvalidParameterError(f"region {region.name!r}: rounds must be >= 1")
+    return regions

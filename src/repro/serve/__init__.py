@@ -7,9 +7,8 @@ runs a fresh Python BFS over the supergraph per query, the
 :class:`QueryEngine` precomputes the connected components of every
 τ ≥ k filtered supernode graph once (a single union-find sweep over the
 superedges), so a query is O(#anchors) label lookups; batches resolve
-all anchors with one CSR gather, results are LRU-cached per
-``(vertex, k)``, and a :class:`QueryDispatcher` fans request batches
-across :class:`~repro.parallel.context.ExecutionContext` workers.
+all anchors with one CSR gather, and results are LRU-cached per
+``(vertex, k)``.
 
 On top of the in-process tier sits the network tier
 (:mod:`repro.serve.frontend`): an asyncio TCP server that coalesces
@@ -29,7 +28,6 @@ from repro.serve.cache import QueryCache
 from repro.serve.client import ServeClient
 from repro.serve.components import LevelComponents
 from repro.serve.engine import QueryEngine
-from repro.serve.dispatch import QueryDispatcher
 from repro.serve.frontend import FrontendConfig, FrontendThread, ServingFrontend
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "FrontendThread",
     "LevelComponents",
     "QueryCache",
-    "QueryDispatcher",
     "QueryEngine",
     "ServeClient",
     "ServingFrontend",

@@ -31,6 +31,7 @@ from repro.equitruss.index import EquiTrussIndex
 from repro.errors import InvalidParameterError
 from repro.obs import metrics
 from repro.obs.histogram import DEFAULT_MS_BOUNDARIES
+from repro.obs.trace import Span
 from repro.parallel.context import ExecutionContext
 from repro.serve.cache import QueryCache
 from repro.serve.components import LevelComponents
@@ -110,8 +111,8 @@ class QueryEngine:
 
         Byte-identical to ``search_communities(index, vertex, k)``.
         ``record=False`` skips the per-request ``Query`` span (used by
-        the concurrent dispatcher, whose workers must not interleave
-        spans on a shared tracer).
+        shard workers and by callers that must not interleave spans on
+        a shared tracer).
         """
         self._check_k(k)
         key = (int(vertex), int(k))
@@ -120,8 +121,8 @@ class QueryEngine:
             return hit
         t0 = time.perf_counter()
         if record:
-            with self.ctx.region("Query", work=0, parallel=False) as handle:
-                communities = self._resolve(vertex, k, handle)
+            with self.ctx.region("Query", work=0, parallel=False) as sp:
+                communities = self._resolve(vertex, k, sp)
         else:
             communities = self._resolve(vertex, k, None)
         self.cache.put(key, communities)
@@ -133,7 +134,7 @@ class QueryEngine:
         )
         return communities
 
-    def _resolve(self, vertex: int, k: int, handle) -> list[Community]:
+    def _resolve(self, vertex: int, k: int, sp: Span | None) -> list[Community]:
         anchors = self.index.supernodes_of_vertex(vertex, k_min=k)
         if anchors.size == 0:
             return []
@@ -141,8 +142,8 @@ class QueryEngine:
         if level is None:  # pragma: no cover - anchors imply a level exists
             return []
         roots = np.unique(self.components.labels(level)[anchors])
-        if handle is not None:
-            handle.work += int(anchors.size)
+        if sp is not None:
+            sp.attrs["work"] += int(anchors.size)
         communities = [
             Community(k=k, edge_ids=self._community_edges(level, int(r)), graph=self.index.graph)
             for r in roots.tolist()
@@ -179,9 +180,9 @@ class QueryEngine:
             if record:
                 with self.ctx.region(
                     "QueryBatch", work=len(misses), parallel=False
-                ) as handle:
+                ) as sp:
                     self._resolve_batch(vs, k, misses, results)
-                    handle.attrs["batch_size"] = int(vs.size)
+                    sp.set(batch_size=int(vs.size))
             else:
                 self._resolve_batch(vs, k, misses, results)
             for i in misses:

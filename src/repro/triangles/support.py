@@ -79,7 +79,6 @@ def compute_support(
     triangles: TriangleSet | None = None,
     ctx: ExecutionContext | None = None,
     *,
-    policy=None,
     dtype=None,
 ) -> np.ndarray:
     """Support (triangle count) of every edge, indexed by edge id.
@@ -89,18 +88,17 @@ def compute_support(
     region of the context's trace. ``dtype`` overrides the accumulator
     dtype; by default the context's :class:`DtypePolicy` picks it (int32
     under ``auto`` whenever it fits — half the resident bytes), always
-    with identical counts. ``policy`` is a deprecated alias for ``ctx``
-    (legacy :class:`ExecutionPolicy` call sites).
+    with identical counts.
     """
-    ctx = ExecutionContext.ensure(ctx if ctx is not None else policy)
+    ctx = ExecutionContext.ensure(ctx)
     if dtype is None:
         dtype = ctx.index_dtype(graph.num_vertices, graph.num_edges)
     with ctx.region(
         "Support", work=graph.num_edges, intensity="mixed"
-    ) as handle:
+    ) as sp:
         if triangles is None:
             triangles = enumerate_triangles(graph, ctx=ctx)
-        handle.work = max(triangles.count, graph.num_edges, 1)
+        sp.set(work=max(triangles.count, graph.num_edges))
         support = parallel_support(triangles, ctx, dtype=dtype)
         if support.size:
             metrics.set_gauge_max("repro.triangles.support_max", int(support.max()))

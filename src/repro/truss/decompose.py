@@ -12,37 +12,16 @@ when they are finally peeled).
 decrements through dying triangles — the PKT structure); ``*_serial``
 is a pure-Python bucket-queue reference used for cross-validation.
 
-Two peeling schedules share the level-synchronous loop:
-
-* ``peeling="bucket"`` (default) — PKT-style bucketed peeling (Kabir &
-  Madduri, arXiv:1707.02000). Edges are grouped by current support into
-  compacted frontier chunks (:class:`_BucketQueue`): each level pops
-  the buckets below its bound directly, and subsequent sub-round
-  frontiers fall out of the decrement step itself (only re-bucketed
-  edges can enter the frontier), so the per-level O(m) full-edge
-  rescans of the scan schedule disappear — ``level_scans`` is 0. Under
-  the process backend the per-sub-round bucket moves are regrouped by a
-  privatized counting sort (:class:`_SharedBucketScatter`): every
-  worker stable-sorts its contiguous range of the (edge, new-support)
-  pairs into its own disjoint slice of a shared buffer — no
-  cross-process atomics — and the coordinator adopts the per-bucket
-  sub-chunks in (worker, value) order, bit-identical to the serial
-  stable grouping.
-* ``peeling="scan"`` — the previous schedule, kept as the comparison
-  baseline: every sub-round rescans the full support array for
-  ``sup < k - 2`` hits. Under the process backend the scans and the
-  decrement ``bincount`` rows fan out through
-  :class:`_SharedPeelState` (partition → privatize → reduce).
-
-Both schedules visit identical frontiers in identical order, so
+Every sub-round rescans the support array for ``sup < k - 2`` hits and
+levels with no such edge are skipped in one jump. Under the process
+backend the scans and the decrement ``bincount`` rows fan out through
+:class:`_SharedPeelState` (partition → privatize → reduce), so
 ``trussness``, ``support`` and ``peel_rounds`` are bit-identical across
-schedules *and* backends; only ``level_scans`` (a cost counter of the
-scan schedule) differs.
+backends.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +32,6 @@ from repro.obs import metrics
 from repro.parallel.context import ExecutionContext
 from repro.triangles.enumerate import TriangleSet, enumerate_triangles
 from repro.triangles.incidence import EdgeTriangleIncidence
-
-#: Peeling schedules accepted by :func:`truss_decomposition`.
-PEELING_MODES = ("bucket", "scan")
 
 #: ``repro.truss.frontier_size`` histogram boundaries — frontier sizes
 #: span "one straggler edge" to "most of the graph in one sub-round".
@@ -77,8 +53,7 @@ class TrussDecomposition:
         level-synchronous schedule).
     level_scans:
         Number of level-k full-edge frontier scans the outer loop
-        performed. Only the ``scan`` schedule pays these; bucketed
-        peeling pops compacted buckets instead and reports 0.
+        performed (0 for the serial reference, which scans nothing).
     """
 
     trussness: np.ndarray
@@ -122,171 +97,6 @@ def k_truss_edge_mask(decomp: TrussDecomposition, k: int) -> np.ndarray:
 _SCAN_FANOUT_FACTOR = 8
 
 
-class _BucketQueue:
-    """Support-indexed buckets of compacted edge-id chunks (PKT-style).
-
-    Lazy-deletion invariant: every *alive* edge always has an entry in
-    the bucket of its **current** support; stale entries — dead edges,
-    or edges re-bucketed at a lower support since insertion — are
-    filtered out the first time their bucket is touched (an entry's
-    support values only ever decrease, so an edge never has two entries
-    at the same value). ``heap`` orders the populated bucket values so
-    the minimum surviving support is a peek, not an O(m) reduction.
-    """
-
-    __slots__ = ("buckets", "heap")
-
-    def __init__(self) -> None:
-        self.buckets: dict[int, list[np.ndarray]] = {}
-        self.heap: list[int] = []
-
-    def fill(self, sup: np.ndarray) -> None:
-        """Initial grouping of all edges by support (one stable sort)."""
-        order = np.argsort(sup, kind="stable")
-        svals = sup[order]
-        uvals, starts = np.unique(svals, return_index=True)
-        ends = np.append(starts[1:], svals.size)
-        for i, v in enumerate(uvals.tolist()):
-            self.push(int(v), order[starts[i] : ends[i]])
-
-    def push(self, value: int, chunk: np.ndarray) -> None:
-        entry = self.buckets.get(value)
-        if entry is None:
-            self.buckets[value] = [chunk]
-            heapq.heappush(self.heap, value)
-        else:
-            entry.append(chunk)
-
-    def push_groups(self, ids: np.ndarray, values: np.ndarray) -> None:
-        """Regroup ``ids`` by (new) support ``values`` and push each group.
-
-        One stable counting-sort-shaped pass: within a bucket the ids
-        keep ascending order because ``ids`` arrives ascending.
-        """
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        si = ids[order]
-        uvals, starts = np.unique(sv, return_index=True)
-        ends = np.append(starts[1:], sv.size)
-        for i, v in enumerate(uvals.tolist()):
-            self.push(int(v), si[starts[i] : ends[i]])
-
-    def _live(self, value: int, sup: np.ndarray, alive: np.ndarray) -> np.ndarray:
-        chunks = self.buckets[value]
-        c = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        return c[alive[c] & (sup[c] == value)]
-
-    def peek_min_support(self, sup: np.ndarray, alive: np.ndarray) -> int | None:
-        """Minimum support among alive edges (compacts stale buckets)."""
-        while self.heap:
-            v = self.heap[0]
-            if v not in self.buckets:
-                heapq.heappop(self.heap)
-                continue
-            live = self._live(v, sup, alive)
-            if live.size == 0:
-                heapq.heappop(self.heap)
-                del self.buckets[v]
-                continue
-            self.buckets[v] = [live]
-            return v
-        return None
-
-    def collect(self, bound: int, sup: np.ndarray, alive: np.ndarray) -> np.ndarray:
-        """Pop every live edge with support below ``bound``, ascending.
-
-        This is the bucket-pop equivalent of the scan schedule's
-        ``flatnonzero(alive & (sup < bound))`` — identical contents and
-        order, without reading the m-element arrays.
-        """
-        parts = []
-        while self.heap and self.heap[0] < bound:
-            v = heapq.heappop(self.heap)
-            chunks = self.buckets.pop(v, None)
-            if chunks is None:
-                continue
-            c = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            live = c[alive[c] & (sup[c] == v)]
-            if live.size:
-                parts.append(live)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        out.sort()
-        return out
-
-
-def _w_bucket_scatter(ids_h, vals_h, lo: int, hi: int, nb: int, out_h, cnt_h, row: int):
-    """Process-pool worker: privatized counting sort of one move range.
-
-    Stable-sorts its contiguous slice of the (edge id, relative new
-    support) pairs by support and writes the grouped ids into its own
-    disjoint ``out[lo:hi]`` slice (a contiguous write the race detector
-    tracks precisely); the per-value histogram row lets the coordinator
-    cut the slice back into per-bucket chunks.
-    """
-    from repro.parallel.shm import attach
-
-    ids = attach(ids_h)
-    vals = attach(vals_h)
-    v = np.asarray(vals[lo:hi])
-    order = np.argsort(v, kind="stable")
-    out = attach(out_h)
-    out[lo:hi] = np.asarray(ids[lo:hi])[order]
-    cnt = attach(cnt_h)
-    np.copyto(cnt[row], np.bincount(v, minlength=nb))
-    # worker-attributed moves: summed across tasks this equals the
-    # serial schedule's re-bucketed edge count exactly
-    metrics.inc("repro.truss.bucket_moves", hi - lo)
-    return hi - lo
-
-
-class _SharedBucketScatter:
-    """Process-backend bucket regrouping: partition → privatize → adopt.
-
-    No cross-process atomics and no interleaved scatter stores: each
-    worker's only write is its own contiguous slice of the shared
-    grouped buffer. Because the affected ids arrive ascending and the
-    worker ranges are contiguous, concatenating each bucket's
-    sub-chunks in (worker, value) order reproduces the serial stable
-    grouping bit-for-bit.
-    """
-
-    def __init__(self, backend, ctx) -> None:
-        self.backend = backend
-        self.ctx = ctx
-
-    def group(
-        self, ids: np.ndarray, values: np.ndarray
-    ) -> list[tuple[int, np.ndarray]]:
-        pool = self.backend.pool
-        vmin = int(values.min())
-        nb = int(values.max()) - vmin + 1
-        _, ids_h = pool.share("peel.move_ids", ids)
-        _, rel_h = pool.share("peel.move_vals", values - vmin)
-        ranges = self.ctx.partition_ranges(ids.size)
-        grouped, out_h = pool.take("peel.grouped", ids.size, np.int64)
-        counts, cnt_h = pool.take("peel.move_counts", (len(ranges), nb), np.int64)
-        self.backend.map_tasks(
-            _w_bucket_scatter,
-            [
-                (ids_h, rel_h, lo, hi, nb, out_h, cnt_h, row)
-                for row, (lo, hi) in enumerate(ranges)
-            ],
-            ctx=self.ctx,
-            work=[hi - lo for lo, hi in ranges],
-            kernel="BucketScatter",
-        )
-        out: list[tuple[int, np.ndarray]] = []
-        for row, (lo, _) in enumerate(ranges):
-            crow = counts[row]
-            ends = lo + np.cumsum(crow)
-            for vi in np.flatnonzero(crow).tolist():
-                # copy: the shared buffer is reused by the next sub-round
-                out.append((vmin + vi, np.array(grouped[ends[vi] - crow[vi] : ends[vi]])))
-        return out
-
-
 def _w_frontier_chunk(sup_h, alive_h, lo: int, hi: int, bound: int, out_h):
     """Process-pool worker: compact frontier hits of one edge range.
 
@@ -324,9 +134,7 @@ class _SharedPeelState:
     Owns the shared ``sup``/``alive`` arrays (the coordinator mutates
     them in place between rounds — workers only ever read during a
     task, so there are no races) plus the scratch buffers the two
-    fan-out stages use. Only the ``scan`` schedule needs this: bucketed
-    peeling never rescans the edge arrays, so its sole fan-out is the
-    bucket-move regrouping of :class:`_SharedBucketScatter`.
+    fan-out stages use.
     """
 
     def __init__(self, backend, ctx, sup: np.ndarray, alive: np.ndarray) -> None:
@@ -390,9 +198,6 @@ def truss_decomposition(
     graph: CSRGraph,
     triangles: TriangleSet | None = None,
     ctx: ExecutionContext | None = None,
-    *,
-    peeling: str = "bucket",
-    policy=None,
 ) -> TrussDecomposition:
     """Vectorized level-synchronous truss decomposition.
 
@@ -400,26 +205,16 @@ def truss_decomposition(
     support dropped below k - 2), kills every triangle containing a
     removed edge, and decrements the support of the surviving member
     edges. The frontier rounds are the barrier-synchronized rounds
-    recorded for the machine model. ``peeling`` selects the frontier
-    schedule (see the module docstring) — both produce bit-identical
-    results; ``"bucket"`` skips the per-sub-round O(m) rescans.
-    ``policy`` is a deprecated alias for ``ctx``.
+    recorded for the machine model.
     """
     from repro.parallel.shm import active_process_backend
     from repro.triangles.support import parallel_support
 
-    if peeling not in PEELING_MODES:
-        raise InvalidParameterError(
-            f"peeling must be one of {PEELING_MODES}, got {peeling!r}"
-        )
-    ctx = ExecutionContext.ensure(ctx if ctx is not None else policy)
+    ctx = ExecutionContext.ensure(ctx)
     if triangles is None:
         triangles = enumerate_triangles(graph, ctx=ctx)
     m = graph.num_edges
-    with ctx.region(
-        "TrussDecomp", work=0, rounds=0, intensity="memory"
-    ) as handle:
-        ctx.annotate(peeling=peeling)
+    with ctx.region("TrussDecomp", work=0, rounds=0, intensity="memory"):
         inc = EdgeTriangleIncidence(triangles, ctx=ctx)
         sup = parallel_support(triangles, ctx, dtype=np.int64)
         support0 = sup.copy()
@@ -431,13 +226,9 @@ def truss_decomposition(
 
         backend = active_process_backend(ctx, m)
         shared = None
-        scatter = None
         if backend is not None:
-            if peeling == "scan":
-                shared = _SharedPeelState(backend, ctx, sup, alive_e)
-                sup, alive_e = shared.sup, shared.alive
-            else:
-                scatter = _SharedBucketScatter(backend, ctx)
+            shared = _SharedPeelState(backend, ctx, sup, alive_e)
+            sup, alive_e = shared.sup, shared.alive
 
         def scan(bound: int) -> np.ndarray:
             if shared is not None:
@@ -468,88 +259,39 @@ def truss_decomposition(
         k = 3
         remaining = m
         frontier_peak = 0
-        if peeling == "bucket":
-            bq = _BucketQueue()
-            bq.fill(sup)
-            while remaining > 0:
-                s_min = bq.peek_min_support(sup, alive_e)
-                if s_min is None:  # pragma: no cover - guarded by `remaining`
-                    break
-                if s_min >= k - 2:
-                    # Skip empty levels, exactly like the scan schedule:
-                    # the next peel happens at k = s_min + 3, assigning
-                    # those edges τ = s_min + 2.
-                    k = max(k + 1, s_min + 3)
-                bound = k - 2
-                frontier = bq.collect(bound, sup, alive_e)
-                while frontier.size:
-                    rounds += 1
-                    frontier_peak = max(frontier_peak, int(frontier.size))
-                    handle.add_round(int(frontier.size))
-                    metrics.observe(
-                        "repro.truss.frontier_size",
-                        float(frontier.size),
-                        boundaries=FRONTIER_SIZE_BOUNDARIES,
-                    )
-                    tau[frontier] = k - 1
-                    alive_e[frontier] = False
-                    remaining -= frontier.size
-                    sides = cascade(frontier)
-                    if not sides.size:
-                        break
-                    metrics.inc("repro.truss.support_decrements", sides.size)
-                    affected, dec = np.unique(sides, return_counts=True)
-                    sup[affected] -= dec
-                    vals = sup[affected]
-                    # Only edges that dropped below the bound can join the
-                    # frontier — no rescan. The rest are re-bucketed at
-                    # their new support (edges dying next sub-round leave
-                    # stale entries the lazy filter drops later).
-                    keep = vals >= bound
-                    stay = affected[keep]
-                    if stay.size:
-                        if scatter is not None and stay.size >= backend.min_items:
-                            for v, chunk in scatter.group(stay, vals[keep]):
-                                bq.push(v, chunk)
-                        else:
-                            metrics.inc("repro.truss.bucket_moves", stay.size)
-                            bq.push_groups(stay, vals[keep])
-                    frontier = affected[~keep]
-                k += 1
-        else:
-            while remaining > 0:
-                level_scans += 1
+        while remaining > 0:
+            level_scans += 1
+            frontier = scan(k - 2)
+            if frontier.size == 0:
+                # Skip empty levels: the next peel happens at the level
+                # where the minimum surviving support s first satisfies
+                # s < k - 2 — i.e. k = s + 3, assigning those edges
+                # τ = s + 2. Incrementing k one level at a time here is
+                # pure waste on graphs with large trussness gaps.
+                s_min = int(sup[alive_e].min())
+                k = max(k + 1, s_min + 3)
+                continue
+            while frontier.size:
+                rounds += 1
+                frontier_peak = max(frontier_peak, int(frontier.size))
+                ctx.add_round(int(frontier.size))
+                metrics.observe(
+                    "repro.truss.frontier_size",
+                    float(frontier.size),
+                    boundaries=FRONTIER_SIZE_BOUNDARIES,
+                )
+                tau[frontier] = k - 1
+                alive_e[frontier] = False
+                remaining -= frontier.size
+                sides = cascade(frontier)
+                if sides.size:
+                    if shared is not None:
+                        shared.decrement(sides)
+                    else:
+                        metrics.inc("repro.truss.support_decrements", sides.size)
+                        sup -= np.bincount(sides, minlength=m)
                 frontier = scan(k - 2)
-                if frontier.size == 0:
-                    # Skip empty levels: the next peel happens at the level
-                    # where the minimum surviving support s first satisfies
-                    # s < k - 2 — i.e. k = s + 3, assigning those edges
-                    # τ = s + 2. Incrementing k one level at a time here is
-                    # pure waste on graphs with large trussness gaps.
-                    s_min = int(sup[alive_e].min())
-                    k = max(k + 1, s_min + 3)
-                    continue
-                while frontier.size:
-                    rounds += 1
-                    frontier_peak = max(frontier_peak, int(frontier.size))
-                    handle.add_round(int(frontier.size))
-                    metrics.observe(
-                        "repro.truss.frontier_size",
-                        float(frontier.size),
-                        boundaries=FRONTIER_SIZE_BOUNDARIES,
-                    )
-                    tau[frontier] = k - 1
-                    alive_e[frontier] = False
-                    remaining -= frontier.size
-                    sides = cascade(frontier)
-                    if sides.size:
-                        if shared is not None:
-                            shared.decrement(sides)
-                        else:
-                            metrics.inc("repro.truss.support_decrements", sides.size)
-                            sup -= np.bincount(sides, minlength=m)
-                    frontier = scan(k - 2)
-                k += 1
+            k += 1
 
     result = TrussDecomposition(
         trussness=tau, support=support0, peel_rounds=rounds, level_scans=level_scans

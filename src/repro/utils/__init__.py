@@ -1,6 +1,6 @@
 """Shared utilities: timers, RNG helpers, validation."""
 
-from repro.utils.timing import KernelTimer, Timer, TimingRecord
+from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_array_1d,
     check_in_range,
@@ -10,9 +10,7 @@ from repro.utils.validation import (
 from repro.utils.rng import resolve_rng
 
 __all__ = [
-    "KernelTimer",
     "Timer",
-    "TimingRecord",
     "check_array_1d",
     "check_in_range",
     "check_nonnegative",

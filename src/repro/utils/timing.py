@@ -1,30 +1,13 @@
-"""Wall-clock timing utilities used by the benchmark harness.
+"""Wall-clock timing utility used by the benchmark harness.
 
-The paper reports per-kernel timing breakdowns (Support, Init, SpNode,
-SpEdge, SmGraph, SpNodeRemap — Figs. 2, 4, 8). :class:`KernelTimer`
-accumulates named spans so every EquiTruss variant can report the same
-breakdown without threading timing code through its internals.
+Per-kernel breakdowns (Figs. 2, 4, 8) come from the run's tracer
+(:class:`repro.equitruss.kernels.KernelBreakdown`); :class:`Timer` is
+the plain start/stop stopwatch for everything else.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
-from dataclasses import dataclass
-
-from repro.obs.trace import Tracer
-
-
-@dataclass
-class TimingRecord:
-    """A single named timing measurement in seconds."""
-
-    name: str
-    seconds: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}: {self.seconds:.6f}s"
 
 
 class Timer:
@@ -63,58 +46,3 @@ class Timer:
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
-
-
-class KernelTimer:
-    """Accumulates wall-clock time per named kernel.
-
-    Spans with the same name accumulate, which matches how the paper's
-    per-kernel numbers are produced (a kernel such as ``SpNode`` runs once
-    per trussness level and the level times are summed).
-
-    .. deprecated::
-        ``KernelTimer`` is now a thin flat-aggregation adapter over
-        :class:`repro.obs.trace.Tracer` (exposed as :attr:`tracer`).
-        New code should open spans on a ``Tracer`` directly — it records
-        the same totals plus hierarchy, attributes, and JSONL export.
-        This adapter is kept so existing harness call sites and result
-        files keep working unchanged.
-    """
-
-    def __init__(self, tracer: Tracer | None = None) -> None:
-        self.tracer = tracer if tracer is not None else Tracer()
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        with self.tracer.span(name):
-            yield
-
-    def add(self, name: str, seconds: float) -> None:
-        self.tracer.add(name, seconds)
-
-    def seconds(self, name: str) -> float:
-        return self.tracer.by_name().get(name, 0.0)
-
-    @property
-    def total(self) -> float:
-        return sum(self.tracer.by_name().values())
-
-    def breakdown(self) -> list[TimingRecord]:
-        """Timing records in first-seen order."""
-        return [TimingRecord(n, s) for n, s in self.tracer.by_name().items()]
-
-    def percentages(self) -> dict[str, float]:
-        """Per-kernel share of the total, in percent (0 if nothing timed)."""
-        agg = self.tracer.by_name()
-        total = sum(agg.values())
-        if total <= 0.0:
-            return {n: 0.0 for n in agg}
-        return {n: 100.0 * s / total for n, s in agg.items()}
-
-    def merge(self, other: "KernelTimer") -> None:
-        for rec in other.breakdown():
-            self.add(rec.name, rec.seconds)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        parts = [f"{r.name}={r.seconds:.4f}s" for r in self.breakdown()]
-        return "KernelTimer(" + ", ".join(parts) + ")"

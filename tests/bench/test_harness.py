@@ -11,7 +11,7 @@ from repro.bench.paper import (
     TABLE5,
 )
 from repro.equitruss.kernels import KernelBreakdown, SM_GRAPH, SP_EDGE, SP_NODE
-from repro.parallel import Instrumentation, Region
+from repro.obs.trace import Tracer
 
 
 def test_text_table_render_and_csv(tmp_path):
@@ -62,18 +62,17 @@ def test_workload_cache_and_run_variant():
     assert w1 is w2
     assert w1.num_edges == w1.graph.num_edges
     res = run_variant(w1, "coptimal")
-    names = {r.name for r in res.trace.regions}
+    names = set(res.breakdown.seconds)
     assert "Support" not in names  # prereqs reused
     res2 = run_variant(w1, "coptimal", include_prereqs=True)
-    names2 = {r.name for r in res2.trace.regions}
+    names2 = set(res2.breakdown.seconds)
     assert "Support" in names2 and "TrussDecomp" in names2
 
 
 def test_kernel_breakdown():
-    tr = Instrumentation()
-    tr.add(Region(SP_NODE, seconds=3.0))
-    tr.add(Region(SP_EDGE, seconds=1.0))
-    tr.add(Region(SM_GRAPH, seconds=1.0))
+    tr = Tracer()
+    for name, seconds in ((SP_NODE, 3.0), (SP_EDGE, 1.0), (SM_GRAPH, 1.0)):
+        tr.add(name, seconds, work=1, rounds=1, intensity="mixed", parallel=True)
     bd = KernelBreakdown.from_trace(tr)
     assert bd.total == pytest.approx(5.0)
     assert bd.percentage(SP_NODE) == pytest.approx(60.0)

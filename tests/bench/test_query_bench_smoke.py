@@ -9,6 +9,8 @@ REPO = Path(__file__).resolve().parents[2]
 
 
 def test_bench_ablation_query_smoke(tmp_path):
+    checked_in = REPO / "benchmarks" / "results" / "ablation_query_serving.txt"
+    before = checked_in.read_bytes()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -16,9 +18,14 @@ def test_bench_ablation_query_smoke(tmp_path):
         capture_output=True,
         text=True,
         env=env,
-        cwd=tmp_path,  # results land under benchmarks/results via absolute path
+        cwd=tmp_path,  # --smoke writes its table under the working directory
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert "identical to the BFS reference" in proc.stdout
     assert "speedup" in proc.stdout
+    assert "identical to the BFS reference" in (
+        tmp_path / "ablation_query_serving.txt"
+    ).read_text(encoding="utf-8")
+    # the checked-in snapshot is not rewritten by a smoke run
+    assert checked_in.read_bytes() == before

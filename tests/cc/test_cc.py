@@ -15,7 +15,8 @@ from repro.graph.generators import (
     erdos_renyi_gnm,
     rmat_graph,
 )
-from repro.parallel import ExecutionPolicy
+from repro.parallel import ExecutionContext
+from repro.parallel.context import region_spans
 
 METHODS = ["sv", "afforest", "label_prop", "bfs", "union_find"]
 
@@ -91,17 +92,17 @@ def test_unnormalized_labels_are_min_ids():
 
 def test_sv_records_rounds():
     g = CSRGraph.from_edgelist(rmat_graph(8, 4, seed=0))
-    policy = ExecutionPolicy()
-    connected_components(g, method="sv", policy=policy)
-    (region,) = policy.trace.regions
+    ctx = ExecutionContext()
+    connected_components(g, method="sv", ctx=ctx)
+    (region,) = region_spans(ctx.tracer)
     assert region.name == "SV"
-    assert region.rounds >= 1
-    assert region.work > 0
+    assert region.attrs["rounds"] >= 1
+    assert region.attrs["work"] > 0
 
 
 def test_afforest_seed_invariance():
     g = CSRGraph.from_edgelist(rmat_graph(9, 4, seed=1))
-    a = connected_components(g, method="afforest", policy=None)
+    a = connected_components(g, method="afforest", ctx=None)
     for seed in (1, 2, 3):
         from repro.cc import afforest
 

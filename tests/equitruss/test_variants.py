@@ -13,7 +13,7 @@ from repro.equitruss.variants import (
 )
 from repro.graph import CSRGraph
 from repro.graph.generators import erdos_renyi_gnm, paper_example_graph
-from repro.parallel.instrument import Instrumentation
+from repro.parallel.context import ExecutionContext, region_spans
 from repro.triangles import enumerate_triangles
 from repro.truss import truss_decomposition
 
@@ -87,16 +87,14 @@ def test_baseline_returns_superedge_candidates():
 
 def test_instrumentation_handles_record_work(prepared):
     g, tri, dec, levels = prepared
-    trace = Instrumentation()
+    ctx = ExecutionContext()
     comp = np.arange(g.num_edges, dtype=np.int64)
-    with trace.region("SpNode", work=0, rounds=0) as h:
+    with ctx.region("SpNode", work=0, rounds=0):
         for k in levels.levels.tolist():
-            # passing a bare region handle still works via the
-            # ExecutionContext.ensure shim
-            spnode_coptimal(comp, levels, k, ctx=h)
-    region = trace.regions[0]
-    assert region.work >= levels.num_hook_pairs
-    assert region.rounds >= levels.levels.size
+            spnode_coptimal(comp, levels, k, ctx=ctx)
+    (region,) = region_spans(ctx.tracer)
+    assert region.attrs["work"] >= levels.num_hook_pairs
+    assert region.attrs["rounds"] >= levels.levels.size
 
 
 def test_afforest_neighbor_rounds_zero(prepared):

@@ -89,7 +89,7 @@ def test_precomputed_inputs_reused():
     res = build_index(g, "coptimal", decomp=dec, triangles=tri)
     assert res.index == equitruss_serial(g, decomp=dec)
     # Support/TrussDecomp kernels skipped when inputs are supplied
-    names = {r.name for r in res.trace.regions}
+    names = set(res.breakdown.seconds)
     assert "Support" not in names and "TrussDecomp" not in names
 
 

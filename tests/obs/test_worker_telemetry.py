@@ -33,20 +33,13 @@ needs_fork = pytest.mark.skipif(
 WORKER_COUNTERS = (
     "repro.triangles.support_updates",
     "repro.truss.support_decrements",
-    "repro.truss.bucket_moves",
     "repro.equitruss.superedge_candidates",
 )
 
-#: The subset incremented *inside worker tasks* under the default bucket
-#: peeling schedule, so their per-worker span partials must also reduce
-#: to the serial totals. ``support_decrements`` is absent: the bucket
-#: schedule applies decrements on the coordinator (only the scan
-#: schedule fans them out), so its worker partials are legitimately 0.
-WORKER_SPAN_COUNTERS = (
-    "repro.triangles.support_updates",
-    "repro.truss.bucket_moves",
-    "repro.equitruss.superedge_candidates",
-)
+#: With ``min_items=0`` every increment of these counters happens
+#: *inside a worker task*, so their per-worker span partials must also
+#: reduce to the serial totals.
+WORKER_SPAN_COUNTERS = WORKER_COUNTERS
 
 
 def _noisy_fn(x):

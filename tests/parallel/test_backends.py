@@ -1,10 +1,10 @@
-"""Unit tests for execution backends and the ExecutionPolicy."""
+"""Unit tests for execution backends and the ExecutionContext defaults."""
 
 import numpy as np
 import pytest
 
 from repro.errors import BackendError
-from repro.parallel import ExecutionPolicy, get_backend, parallel_for
+from repro.parallel import ExecutionContext, get_backend, parallel_for
 from repro.parallel.atomics import AtomicArray
 
 
@@ -45,7 +45,7 @@ def test_unknown_backend():
 
 
 def test_policy_defaults_and_run():
-    p = ExecutionPolicy.default(None)
+    p = ExecutionContext.ensure(None)
     assert p.num_workers == 1
     seen = []
     p.run(3, lambda lo, hi, tid: seen.append((lo, hi)))

@@ -1,58 +1,95 @@
-"""Unit tests for instrumentation and the machine model."""
+"""Unit tests for region spans and the machine model."""
 
 import pytest
 
+from repro.equitruss.kernels import KernelBreakdown
 from repro.errors import InvalidParameterError
-from repro.parallel import Instrumentation, MachineProfile, Region, SimulatedMachine
+from repro.obs.trace import Tracer
+from repro.parallel import ExecutionContext, MachineProfile, SimulatedMachine
+from repro.parallel.context import region_spans
+
+
+def add_region(tracer, name, seconds, work=1, rounds=1, intensity="mixed", parallel=True):
+    """A hand-built region span, as ``ExecutionContext.region`` records it."""
+    return tracer.add(
+        name, seconds, work=work, rounds=rounds, intensity=intensity, parallel=parallel
+    )
 
 
 def make_trace():
-    tr = Instrumentation()
-    tr.add(Region("setup", seconds=0.1, parallel=False))
-    tr.add(Region("kernel", seconds=1.0, work=10_000, rounds=10, intensity="memory"))
-    tr.add(Region("merge", seconds=0.2, work=1_000, rounds=1, intensity="compute"))
+    tr = Tracer()
+    add_region(tr, "setup", 0.1, parallel=False)
+    add_region(tr, "kernel", 1.0, work=10_000, rounds=10, intensity="memory")
+    add_region(tr, "merge", 0.2, work=1_000, rounds=1, intensity="compute")
     return tr
 
 
 def test_region_validation():
+    machine = SimulatedMachine()
+    tr = Tracer()
+    add_region(tr, "x", 1.0, intensity="quantum")
     with pytest.raises(InvalidParameterError):
-        Region("x", seconds=1.0, intensity="quantum")
+        machine.predicted_time(tr, 2)
+    tr = Tracer()
+    add_region(tr, "x", 1.0, rounds=0)
     with pytest.raises(InvalidParameterError):
-        Region("x", seconds=1.0, rounds=0)
+        machine.scaling_curve(tr)
 
 
 def test_region_span_measures_time():
-    tr = Instrumentation()
-    with tr.region("r", work=5):
+    ctx = ExecutionContext()
+    with ctx.region("r", work=5):
         pass
-    assert len(tr.regions) == 1
-    assert tr.regions[0].seconds >= 0
-    assert tr.regions[0].work == 5
+    regions = region_spans(ctx.tracer)
+    assert len(regions) == 1
+    assert regions[0].seconds >= 0
+    assert regions[0].attrs["work"] == 5
 
 
 def test_region_handle_add_round():
-    tr = Instrumentation()
-    with tr.region("r", work=0, rounds=0) as h:
-        h.add_round(100)
-        h.add_round(50)
-    r = tr.regions[0]
-    assert r.work == 150 and r.rounds == 2
+    ctx = ExecutionContext()
+    with ctx.region("r", work=0, rounds=0):
+        ctx.add_round(100)
+        ctx.add_round(50)
+    (r,) = region_spans(ctx.tracer)
+    assert r.attrs["work"] == 150 and r.attrs["rounds"] == 2
 
 
 def test_trace_aggregates():
     tr = make_trace()
-    assert tr.serial_seconds == pytest.approx(0.1)
-    assert tr.total_seconds == pytest.approx(1.3)
-    assert tr.total_work == 11_000
-    names = tr.by_name()
+    regions = region_spans(tr)
+    assert sum(r.seconds for r in regions if not r.attrs["parallel"]) == pytest.approx(0.1)
+    assert KernelBreakdown.from_trace(tr).total == pytest.approx(1.3)
+    assert sum(r.attrs["work"] for r in regions if r.attrs["parallel"]) == 11_000
+    names = KernelBreakdown.from_trace(tr).seconds
     assert list(names) == ["setup", "kernel", "merge"]
+
+
+def test_wrapper_and_worker_spans_are_not_regions():
+    machine = SimulatedMachine()
+    flat = make_trace()
+    nested = Tracer()
+    with nested.span("BuildIndex", variant="afforest"):
+        add_region(nested, "setup", 0.1, parallel=False)
+        with nested.span("Level", k=3):
+            with nested.span(
+                "kernel", work=10_000, rounds=10, intensity="memory", parallel=True
+            ) as kernel:
+                for i in range(2):
+                    nested.add(f"Worker[{i}]", 0.4, worker_id=i, work=5_000)
+        kernel.seconds = 1.0
+        add_region(nested, "merge", 0.2, work=1_000, rounds=1, intensity="compute")
+    assert [r.name for r in region_spans(nested)] == ["setup", "kernel", "merge"]
+    for p in (1, 2, 16, 128):
+        assert machine.predicted_time(nested, p) == machine.predicted_time(flat, p)
+    assert set(machine.kernel_curves(nested)) == {"setup", "kernel", "merge"}
 
 
 def test_predicted_time_monotone_decreasing():
     machine = SimulatedMachine()
     tr = make_trace()
     times = [machine.predicted_time(tr, p) for p in (1, 2, 4, 8, 16, 32, 64, 128)]
-    assert times[0] == pytest.approx(tr.total_seconds)
+    assert times[0] == pytest.approx(1.3)
     for a, b in zip(times, times[1:]):
         assert b < a
 
@@ -76,10 +113,10 @@ def test_efficiency_decreases():
 
 def test_compute_regions_scale_better_than_memory():
     machine = SimulatedMachine()
-    mem = Instrumentation()
-    mem.add(Region("k", seconds=1.0, intensity="memory"))
-    cpu = Instrumentation()
-    cpu.add(Region("k", seconds=1.0, intensity="compute"))
+    mem = Tracer()
+    add_region(mem, "k", 1.0, intensity="memory")
+    cpu = Tracer()
+    add_region(cpu, "k", 1.0, intensity="compute")
     assert machine.predicted_time(cpu, 128) < machine.predicted_time(mem, 128)
 
 

@@ -187,18 +187,29 @@ def test_query_batch_file(indexed_graph, tmp_path, capsys, engine):
 
 
 def test_query_batch_results_identical_across_engines(indexed_graph, tmp_path, capsys):
-    batch = tmp_path / "batch.txt"
-    batch.write_text("".join(f"{v}\n" for v in range(0, 60, 3)))
-    outputs = {}
-    for engine in ("bfs", "components"):
-        capsys.readouterr()
-        assert main(["query", str(indexed_graph), "--batch-file", str(batch),
-                     "--k", "3", "--engine", engine]) == 0
-        outputs[engine] = [
-            ln for ln in capsys.readouterr().out.splitlines()
-            if ln.startswith("vertex ")
+    single_k = tmp_path / "batch.txt"
+    single_k.write_text("".join(f"{v}\n" for v in range(0, 60, 3)))
+    # several k values interleaved, and vertices repeated within and
+    # across k: answers must still come back in request order
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("".join(
+        f"{v} {k}\n" for v, k in [
+            (0, 4), (5, 3), (0, 3), (12, 5), (5, 3), (7, 4), (0, 4), (12, 3),
+            (33, 5), (7, 4), (5, 5), (0, 3),
         ]
-    assert outputs["bfs"] == outputs["components"]
+    ))
+    for batch, requests in ((single_k, 20), (mixed, 12)):
+        outputs = {}
+        for engine in ("bfs", "components"):
+            capsys.readouterr()
+            assert main(["query", str(indexed_graph), "--batch-file", str(batch),
+                         "--k", "3", "--engine", engine]) == 0
+            outputs[engine] = [
+                ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("vertex ")
+            ]
+        assert len(outputs["bfs"]) == requests
+        assert outputs["bfs"] == outputs["components"]
 
 
 def test_query_warm_cache_and_trace_out(indexed_graph, tmp_path, capsys):

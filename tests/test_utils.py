@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.utils import (
-    KernelTimer,
     Timer,
     check_array_1d,
     check_in_range,
@@ -48,56 +47,6 @@ def test_timer_start_while_running_raises():
     assert t.elapsed >= 0.0
     t.start()  # stopped timers restart fine
     t.stop()
-
-
-def test_kernel_timer_accumulates_by_name():
-    kt = KernelTimer()
-    with kt.span("a"):
-        pass
-    kt.add("a", 1.0)
-    kt.add("b", 3.0)
-    assert kt.seconds("a") >= 1.0
-    assert kt.seconds("missing") == 0.0
-    assert kt.total >= 4.0
-    names = [r.name for r in kt.breakdown()]
-    assert names == ["a", "b"]
-
-
-def test_kernel_timer_percentages():
-    kt = KernelTimer()
-    kt.add("x", 1.0)
-    kt.add("y", 3.0)
-    pct = kt.percentages()
-    assert pct["x"] == pytest.approx(25.0)
-    assert pct["y"] == pytest.approx(75.0)
-    assert KernelTimer().percentages() == {}
-
-
-def test_kernel_timer_merge():
-    a, b = KernelTimer(), KernelTimer()
-    a.add("k", 1.0)
-    b.add("k", 2.0)
-    b.add("j", 1.0)
-    a.merge(b)
-    assert a.seconds("k") == pytest.approx(3.0)
-    assert a.seconds("j") == pytest.approx(1.0)
-
-
-def test_kernel_timer_is_backed_by_a_tracer():
-    from repro.obs.trace import Tracer
-
-    kt = KernelTimer()
-    assert isinstance(kt.tracer, Tracer)
-    with kt.span("SpNode"):
-        pass
-    kt.add("SpEdge", 0.5)
-    assert [sp.name for sp, _ in kt.tracer.walk()] == ["SpNode", "SpEdge"]
-    assert kt.seconds("SpEdge") == pytest.approx(0.5)
-
-    shared = Tracer()
-    kt2 = KernelTimer(tracer=shared)
-    kt2.add("Init", 1.0)
-    assert shared.by_name() == {"Init": 1.0}
 
 
 def test_resolve_rng():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, build_graph
 from repro.graph.generators import complete_graph, erdos_renyi_gnm, paper_example_graph
-from repro.parallel import ExecutionPolicy
+from repro.parallel import ExecutionContext
+from repro.parallel.context import region_spans
 from repro.triangles import (
     EdgeTriangleIncidence,
     compute_support,
@@ -33,9 +34,9 @@ def test_support_complete_graph():
 
 def test_support_records_trace_region():
     g = CSRGraph.from_edgelist(complete_graph(5))
-    policy = ExecutionPolicy()
-    compute_support(g, policy=policy)
-    names = [r.name for r in policy.trace.regions]
+    ctx = ExecutionContext()
+    compute_support(g, ctx=ctx)
+    names = [r.name for r in region_spans(ctx.tracer)]
     assert names == ["Support"]
 
 

@@ -1,12 +1,10 @@
-"""Equivalence properties of the bucketed peeler and balanced partitions.
+"""Equivalence of the vectorized peeler with the serial reference.
 
-The PKT-style bucket schedule, the legacy level-scan schedule, and the
-serial reference must be bit-identical — same trussness, same support,
-same number of peel rounds — on every backend, under either partition
-strategy, and regardless of the index dtype. These are equality tests,
-not approximate ones: the bucket queue peels exactly the
-``support < k - 2`` frontier each round in ascending edge-id order,
-which is the same frontier sequence the scan schedule computes.
+The level-synchronous scan peeler must match the serial bucket-queue
+reference bit for bit — same trussness, same support — on every
+backend, under either partition strategy, and regardless of the index
+dtype; its ``peel_rounds`` must not depend on any of those either.
+These are equality tests, not approximate ones.
 """
 
 import numpy as np
@@ -42,47 +40,51 @@ def _graph(name):
     return CSRGraph.from_edgelist(GRAPHS[name]())
 
 
-def _contexts(partition="balanced"):
-    yield "serial", lambda: ExecutionContext(backend="serial", partition=partition)
+def _contexts(partition="balanced", dtype="auto"):
+    yield "serial", lambda: ExecutionContext(
+        backend="serial", partition=partition, dtype=dtype
+    )
     yield "thread", lambda: ExecutionContext(
-        backend="thread", num_workers=3, partition=partition
+        backend="thread", num_workers=3, partition=partition, dtype=dtype
     )
     if process_backend_available():
         yield "process", lambda: ExecutionContext(
             backend=ProcessBackend(num_workers=3, min_items=0),
             num_workers=3,
             partition=partition,
+            dtype=dtype,
         )
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_bucket_equals_scan_equals_serial(name):
+def test_scan_equals_serial_reference(name):
     g = _graph(name)
     ref = truss_decomposition_serial(g)
-    scan = truss_decomposition(g, peeling="scan")
-    bucket = truss_decomposition(g, peeling="bucket")
-    for d in (scan, bucket):
-        assert np.array_equal(d.trussness, ref.trussness), name
-        assert np.array_equal(d.support, ref.support), name
-    assert bucket.peel_rounds == scan.peel_rounds, name
-    assert bucket.level_scans == 0
-    assert scan.level_scans > 0 or scan.kmax == 2
+    got = truss_decomposition(g)
+    assert np.array_equal(got.trussness, ref.trussness), name
+    assert np.array_equal(got.support, ref.support), name
+    assert got.level_scans > 0 or got.kmax == 2
 
 
 @pytest.mark.process_backend
 @needs_fork
-@pytest.mark.parametrize("peeling", ("bucket", "scan"))
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_peeling_modes_bit_identical_across_backends(name, peeling):
-    g = _graph(name)
-    ref = truss_decomposition_serial(g)
-    for label, make in _contexts():
-        with make() as ctx:
-            got = truss_decomposition(g, ctx=ctx, peeling=peeling)
-        assert np.array_equal(got.trussness, ref.trussness), (name, label)
-        assert np.array_equal(got.support, ref.support), (name, label)
-        if peeling == "bucket":
-            assert got.level_scans == 0, (name, label)
+def test_scan_equals_serial_reference_on_every_backend(name):
+    """Every backend × partition × dtype case against the reference."""
+    edges = GRAPHS[name]()
+    ref = truss_decomposition_serial(_graph(name))
+    rounds = set()
+    for partition in ("balanced", "blocked"):
+        for dtype in ("int32", "int64"):
+            for label, make in _contexts(partition=partition, dtype=dtype):
+                case = (name, label, partition, dtype)
+                with make() as ctx:
+                    g = CSRGraph.from_edgelist(edges, ctx=ctx)
+                    got = truss_decomposition(g, ctx=ctx)
+                assert np.array_equal(got.trussness, ref.trussness), case
+                assert np.array_equal(got.support, ref.support), case
+                rounds.add(got.peel_rounds)
+    assert len(rounds) == 1, name
 
 
 @pytest.mark.process_backend
@@ -113,16 +115,15 @@ def test_partition_strategies_bit_identical(name):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_dtype_invariance_int32_int64(name):
     """int32-indexed and int64-indexed builds agree element-for-element
-    through the fused Init and both peeling schedules."""
+    through the fused Init and the peeler."""
     edges = GRAPHS[name]()
     results = {}
     for dtype in ("int32", "int64"):
         ctx = ExecutionContext(dtype=dtype)
         g = CSRGraph.from_edgelist(edges, ctx=ctx)
-        for peeling in ("bucket", "scan"):
-            d = truss_decomposition(g, ctx=ctx, peeling=peeling)
-            results[(dtype, peeling)] = (d.trussness, d.support, d.peel_rounds)
-    ref = results[("int64", "bucket")]
+        d = truss_decomposition(g, ctx=ctx)
+        results[dtype] = (d.trussness, d.support, d.peel_rounds)
+    ref = results["int64"]
     for key, (tau, sup, rounds) in results.items():
         assert np.array_equal(tau, ref[0]), (name, key)
         assert np.array_equal(sup, ref[1]), (name, key)
@@ -132,10 +133,9 @@ def test_dtype_invariance_int32_int64(name):
 @pytest.mark.process_backend
 @needs_fork
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_index_identical_under_bucket_and_balanced(variant):
-    """End-to-end: every variant builds the same index under the new
-    defaults (bucket peeling + balanced partitions, process backend) as
-    the serial blocked/scan legacy path."""
+def test_index_identical_under_process_and_balanced(variant):
+    """End-to-end: every variant builds the same index under balanced
+    partitions on the process backend as on the serial blocked path."""
     g = _graph("er")
     legacy = ExecutionContext(backend="serial", partition="blocked")
     ref = build_index(g, variant, ctx=legacy).index

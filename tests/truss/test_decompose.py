@@ -16,7 +16,8 @@ from repro.graph.generators import (
     rmat_graph,
 )
 from repro.errors import InvalidParameterError
-from repro.parallel import ExecutionPolicy
+from repro.parallel import ExecutionContext
+from repro.parallel.context import region_spans
 from repro.truss import (
     k_truss_edge_mask,
     truss_decomposition,
@@ -105,12 +106,12 @@ def test_phi_partition():
 
 def test_policy_trace_records_rounds():
     g = graph_of(complete_graph(6))
-    policy = ExecutionPolicy()
-    d = truss_decomposition(g, policy=policy)
-    (region,) = policy.trace.regions
+    ctx = ExecutionContext()
+    d = truss_decomposition(g, ctx=ctx)
+    (region,) = region_spans(ctx.tracer)
     assert region.name == "TrussDecomp"
-    assert region.rounds == d.peel_rounds
-    assert region.rounds >= 1
+    assert region.attrs["rounds"] == d.peel_rounds
+    assert region.attrs["rounds"] >= 1
 
 
 def test_planted_communities_have_high_trussness():
@@ -121,8 +122,6 @@ def test_planted_communities_have_high_trussness():
 
 
 def test_k_truss_edge_mask_validation():
-    from repro.errors import InvalidParameterError
-
     g = graph_of(complete_graph(4))
     d = truss_decomposition(g)
     with pytest.raises(InvalidParameterError):
@@ -162,38 +161,25 @@ def test_level_skip_jumps_over_trussness_gaps():
     v = np.concatenate([k12.v, np.array([13, 14, 14])])
     g = graph_of(build_edgelist(u, v, num_vertices=15))
     ref = truss_decomposition_serial(g).trussness
-    d = truss_decomposition(g, peeling="scan")
+    d = truss_decomposition(g)
     assert np.array_equal(d.trussness, ref)
     assert d.kmax == 12
     # one-per-level scanning would cost at least kmax - 2 = 10 scans;
     # skipping pays ~2 per populated level (one empty probe, one peel)
     assert d.level_scans < d.kmax - 2
     assert d.level_scans <= 5
-    # bucketed peeling jumps the same gap without any rescans at all
-    b = truss_decomposition(g)
-    assert np.array_equal(b.trussness, ref)
-    assert b.peel_rounds == d.peel_rounds
-    assert b.level_scans == 0
 
 
 def test_level_skip_counts_on_dense_levels():
     # no gaps: level skipping must not change behavior on contiguous levels
     edges, _ = planted_community_graph(3, 6, 8, p_intra=0.9, overlap=1, seed=5)
     g = graph_of(edges)
-    d = truss_decomposition(g, peeling="scan")
+    d = truss_decomposition(g)
     assert np.array_equal(d.trussness, truss_decomposition_serial(g).trussness)
     assert d.level_scans >= d.k_classes().size
 
 
-def test_level_scans_zero_for_bucket_positive_for_scan():
+def test_level_scans_counted_by_vectorized_not_serial():
     g = graph_of(complete_graph(5))
     assert truss_decomposition_serial(g).level_scans == 0
-    assert truss_decomposition(g, peeling="scan").level_scans > 0
-    # the default bucketed schedule never pays a full-edge rescan
-    assert truss_decomposition(g).level_scans == 0
-
-
-def test_peeling_mode_validation():
-    g = graph_of(complete_graph(5))
-    with pytest.raises(InvalidParameterError):
-        truss_decomposition(g, peeling="nope")
+    assert truss_decomposition(g).level_scans > 0
