@@ -128,14 +128,14 @@ def main(argv: list[str] | None = None) -> int:
             t0 = time.perf_counter()
             res = build_index(w.graph, "afforest", ctx=ctx, num_workers=workers)
             elapsed = time.perf_counter() - t0
-            return elapsed, res, ctx.partition, ctx
+            return elapsed, res, ctx
 
-    t_serial, res_serial, part_serial, _ = _e2e("serial", 1)
+    t_serial, res_serial, _ = _e2e("serial", 1)
     t_process = res_process = None
     proc_ctx = None
     if process_backend_available():
-        backend = ProcessBackend(num_workers=args.workers, min_items=0)
-        t_process, res_process, part_process, proc_ctx = _e2e(backend, args.workers)
+        backend = ProcessBackend(min_items=0)
+        t_process, res_process, proc_ctx = _e2e(backend, args.workers)
         if not (res_serial.index == res_process.index):
             failures.append("process-backend index differs from serial")
     cpu = os.cpu_count() or 1
@@ -165,12 +165,11 @@ def main(argv: list[str] | None = None) -> int:
                  t_peel, mode="measured", level_scans=int(d_peel.level_scans))
     snap.add_run("build_path_e2e", args.dataset, "afforest", "serial", 1,
                  t_serial, mode="measured",
-                 kernels=res_serial.breakdown.seconds, partition=part_serial)
+                 kernels=res_serial.breakdown.seconds)
     if t_process is not None:
         snap.add_run("build_path_e2e", args.dataset, "afforest", "process",
                      args.workers, t_process, mode="measured",
                      kernels=res_process.breakdown.seconds,
-                     partition=part_process,
                      identical_to_serial="process-backend index differs "
                      "from serial" not in failures)
     snap.derive("pr9.init_speedup_fused_vs_keyed", t_keyed / t_fused)

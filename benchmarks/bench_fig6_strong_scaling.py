@@ -6,7 +6,7 @@ count, Afforest fastest at every p on the large graphs, and the 128-
 thread time within the paper's speedup band.
 
 ``run_backend_sweep`` additionally measures *real* end-to-end wall
-clock across the serial / thread / process backends on the largest
+clock on the serial and process backends on the largest
 local dataset, asserts the indexes are bit-identical, and records
 everything (plus the modeled T(p) reference points and the host's CPU
 count) in the machine-readable ``BENCH_pr4.json`` snapshot. The ≥2×
@@ -36,7 +36,7 @@ VARIANTS = ["baseline", "coptimal", "afforest"]
 #: Largest local strong-scaling dataset and the measured backend grid.
 SWEEP_NETWORK = "orkut"
 SWEEP_VARIANT = "afforest"
-SWEEP_BACKENDS = (("serial", 1), ("thread", 4), ("process", 4))
+SWEEP_BACKENDS = (("serial", 1), ("process", 4))
 
 
 def run_fig6():
@@ -101,7 +101,6 @@ def run_backend_sweep():
             "fig6_backend_sweep", SWEEP_NETWORK, SWEEP_VARIANT, backend, workers,
             elapsed, mode="measured",
             kernels=res.breakdown.seconds, identical_to_serial=bool(same),
-            partition=ctx.partition,
         )
     # modeled T(p) reference points from the serial instrumented run,
     # so the snapshot carries the scaling expectation next to the

@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: process backend unavailable", file=sys.stderr)
         return 1
 
-    backend = ProcessBackend(num_workers=args.workers, min_items=0)
+    backend = ProcessBackend(min_items=0)
     process, t_process, proc_ctx, proc_reg = _build(graph, backend, args.workers)
 
     failures = []
@@ -129,14 +129,12 @@ def main(argv: list[str] | None = None) -> int:
     snap = PerfSnapshot("pr6", path=args.out)
     snap.add_run("ci_smoke", "gnm_500_5000", "afforest", "serial", 1,
                  t_serial, mode="measured",
-                 kernels=serial.breakdown.seconds,
-                 partition=serial_ctx.partition)
+                 kernels=serial.breakdown.seconds)
     snap.add_run("ci_smoke", "gnm_500_5000", "afforest", "process", args.workers,
                  t_process, mode="measured",
                  kernels={**process.breakdown.seconds, **per_worker},
                  identical_to_serial=not failures,
-                 worker_spans=len(worker_spans),
-                 partition=proc_ctx.partition)
+                 worker_spans=len(worker_spans))
     snap.derive("pr6.worker_counters_bit_exact", counters_exact)
     snap.derive("pr6.worker_spans_with_children",
                 len(worker_spans) - len(empty))

@@ -58,7 +58,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _make_context(args: argparse.Namespace):
     """ExecutionContext from the shared --backend/--workers/--dtype flags.
 
-    ``--backend process`` degrades to the thread backend (with a warning
+    ``--backend process`` degrades to the serial backend (with a warning
     on stderr) where ``fork`` or POSIX shared memory is unavailable, so
     scripted invocations keep working across platforms.
     """
@@ -71,10 +71,10 @@ def _make_context(args: argparse.Namespace):
         if not process_backend_available():
             print(
                 "warning: process backend unavailable on this platform "
-                "(no fork or POSIX shared memory); using thread backend",
+                "(no fork or POSIX shared memory); using serial backend",
                 file=sys.stderr,
             )
-            backend = "thread"
+            backend = "serial"
     return ExecutionContext(
         backend=backend,
         num_workers=getattr(args, "workers", 1) or 1,
@@ -599,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_context_flags(p: argparse.ArgumentParser) -> None:
         """The shared ExecutionContext flags (--backend/--workers/--dtype)."""
         p.add_argument("--backend", default="serial",
-                       choices=["serial", "thread", "process"],
+                       choices=["serial", "process"],
                        help="execution backend for the kernels (process = "
                             "persistent fork workers over shared memory)")
         p.add_argument("--workers", type=int, default=1,

@@ -4,30 +4,30 @@ The paper's implementation is OpenMP/C++ on a 128-core Perlmutter node.
 CPython (GIL, and a single core in this environment) cannot express that
 directly, so this package provides three coordinated pieces:
 
-* **Backends** (:mod:`repro.parallel.backends`) — a uniform
-  ``parallel_for`` over serial, real-thread, and worker-process
-  execution. The thread backend exists to demonstrate that the
-  algorithms' benign races are in fact benign (tests run the hooking
-  kernels concurrently); it does not speed anything up under the GIL.
-  The **process backend** (:mod:`repro.parallel.shm`) escapes the GIL:
+* **ExecutionContext** (:mod:`repro.parallel.context`) — the one
+  execution handle: backend, workers, dtype policy, workspace and the
+  run's tracer. The backend is ``serial`` (every kernel's vectorized
+  path on the calling thread) or ``process``. Every algorithm kernel
+  wraps its parallel regions in ``ctx.region(...)`` spans recording
+  measured seconds, the amount of parallelizable work, the number of
+  barrier-synchronized rounds, and the region's arithmetic intensity
+  class.
+* **The process backend** (:mod:`repro.parallel.shm`) escapes the GIL:
   a persistent pool of forked workers operating on zero-copy
   ``multiprocessing.shared_memory`` arrays, fed by kernels ported to
   the partition → privatize → reduce shape of PKT.
-* **ExecutionContext** (:mod:`repro.parallel.context`) — the one
-  execution handle: backend, workers, dtype policy, workspace and the
-  run's tracer. Every algorithm kernel wraps its parallel regions in
-  ``ctx.region(...)`` spans recording measured seconds, the amount of
-  parallelizable work, the number of barrier-synchronized rounds, and
-  the region's arithmetic intensity class.
 * **SimulatedMachine** (:mod:`repro.parallel.simulate`) — converts the
   recorded region spans into predicted T(p) for a Perlmutter-like
   :class:`MachineProfile`, producing the strong-scaling and efficiency
   curves of the paper's Figures 6–9.
+
+The paper's §3.1 benign-race claim for SV hooking is exercised with
+real thread interleavings by :mod:`repro.cc.threaded`, which races
+Python threads on one parent array through :class:`AtomicArray`.
 """
 
-from repro.parallel.backends import SerialBackend, ThreadBackend, get_backend, parallel_for
 from repro.parallel.context import DtypePolicy, ExecutionContext, Workspace
-from repro.parallel.partition import block_ranges, cyclic_indices, guided_ranges
+from repro.parallel.partition import block_ranges
 from repro.parallel.shm import (
     ProcessBackend,
     SharedArrayPool,
@@ -47,13 +47,7 @@ __all__ = [
     "Workspace",
     "MachineProfile",
     "ScalingCurve",
-    "SerialBackend",
     "SimulatedMachine",
-    "ThreadBackend",
     "block_ranges",
-    "cyclic_indices",
-    "get_backend",
-    "guided_ranges",
-    "parallel_for",
     "process_backend_available",
 ]

@@ -7,8 +7,8 @@ contention low when many threads touch disjoint indices.
 
 The *vectorized* algorithm paths do not use this class — they emulate
 CRCW priority writes deterministically with ``np.minimum.at``. This
-class backs the pure-Python kernels that the thread backend runs to
-exercise the paper's benign-race claim with real concurrency.
+class backs :mod:`repro.cc.threaded`, whose racing Python threads
+exercise the paper's §3.1 benign-race claim with real concurrency.
 """
 
 from __future__ import annotations

@@ -47,15 +47,10 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
+from repro.errors import BackendError, InvalidParameterError
 from repro.obs.trace import Span, Tracer
-from repro.parallel.backends import (
-    SerialBackend,
-    ThreadBackend,
-    backend_name,
-    close_backend,
-    get_backend,
-)
+from repro.parallel.partition import block_ranges, weighted_ranges
+from repro.parallel.shm import ProcessBackend
 from repro.utils.validation import check_positive
 
 #: Names accepted by :class:`DtypePolicy`.
@@ -217,39 +212,35 @@ class ExecutionContext:
     which targets the innermost open :meth:`region` span; with no region
     open it is a no-op.
 
-    The context *owns* its backend's OS resources: the thread backend's
-    persistent pool and the process backend's worker processes + shared
-    segments are released by :meth:`close` (or by using the context as a
-    context manager). Contexts whose backends never spin a pool up need
-    no explicit close.
+    ``backend`` is ``"serial"`` or ``"process"`` (or a
+    :class:`~repro.parallel.shm.ProcessBackend` instance); after
+    construction it holds ``None`` for serial execution or the
+    ``ProcessBackend``. The context *owns* the process backend's worker
+    processes and shared segments and releases them in :meth:`close`
+    (or on leaving the context manager). A serial context, or a process
+    context that never fanned out, needs no explicit close.
     """
 
-    backend: str | SerialBackend | ThreadBackend = "serial"
+    backend: str | ProcessBackend | None = "serial"
     num_workers: int = 1
     tracer: Tracer = field(default_factory=Tracer)
     dtype: DtypePolicy | str = "auto"
     workspace: Workspace = field(default_factory=Workspace)
-    #: contiguous-range partitioning strategy for the fan-out kernels:
-    #: ``balanced`` cuts ranges by each kernel's per-item work estimate
-    #: (wedge counts for triangle enumeration), ``blocked`` by item
-    #: count. Both produce bit-identical results — only task boundaries
-    #: (and therefore worker balance) differ.
-    partition: str = "balanced"
     _regions: list[Span] = field(default_factory=list, repr=False)
     _closers: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        from repro.parallel.partition import PARTITION_STRATEGIES
-
         check_positive("num_workers", self.num_workers)
-        if isinstance(self.backend, str):
-            self.backend = get_backend(self.backend)
-        self.dtype = DtypePolicy.of(self.dtype)
-        if self.partition not in PARTITION_STRATEGIES:
-            raise InvalidParameterError(
-                f"partition strategy must be one of {PARTITION_STRATEGIES}, "
-                f"got {self.partition!r}"
+        if self.backend == "serial":
+            self.backend = None
+        elif self.backend == "process":
+            self.backend = ProcessBackend()
+        elif self.backend is not None and not isinstance(self.backend, ProcessBackend):
+            raise BackendError(
+                f"unknown backend {self.backend!r}; expected 'serial', 'process' "
+                f"or a ProcessBackend"
             )
+        self.dtype = DtypePolicy.of(self.dtype)
 
     # ------------------------------------------------------------------
     # Normalization
@@ -285,10 +276,6 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # Execution + accounting
     # ------------------------------------------------------------------
-    def run(self, n: int, chunk_fn) -> None:
-        """Dispatch ``chunk_fn`` over ``range(n)`` on this backend."""
-        self.backend.run(n, chunk_fn, self.num_workers)
-
     @contextmanager
     def region(
         self,
@@ -334,9 +321,9 @@ class ExecutionContext:
 
     @property
     def shared_pool(self):
-        """The backend's :class:`~repro.parallel.shm.SharedArrayPool`,
-        or ``None`` for backends without shared memory."""
-        return getattr(self.backend, "pool", None)
+        """The process backend's :class:`~repro.parallel.shm.SharedArrayPool`,
+        or ``None`` on a serial context."""
+        return self.backend.pool if isinstance(self.backend, ProcessBackend) else None
 
     def provenance(self) -> dict:
         """Execution facts for a run manifest (JSON-serializable).
@@ -347,26 +334,26 @@ class ExecutionContext:
         """
         pool = self.shared_pool
         return {
-            "backend": backend_name(self.backend),
+            "backend": "process" if isinstance(self.backend, ProcessBackend) else "serial",
             "num_workers": self.num_workers,
             "dtype_policy": self.dtype.name,
-            "partition": self.partition,
             "ws_peak": int(self.workspace.high_water),
             "shm_high_water": int(pool.high_water) if pool is not None else 0,
         }
 
     def partition_ranges(self, n: int, weights=None) -> list[tuple[int, int]]:
-        """Contiguous worker ranges over ``range(n)`` under this
-        context's partition strategy (empty ranges dropped)."""
-        from repro.parallel.partition import partition_ranges
+        """Contiguous worker ranges over ``range(n)``, empty ones dropped.
 
-        return [
-            (lo, hi)
-            for lo, hi in partition_ranges(
-                n, self.num_workers, weights=weights, strategy=self.partition
-            )
-            if hi > lo
-        ]
+        Ranges are cut by the kernel's per-item work estimate when it
+        passes ``weights`` (:func:`~repro.parallel.partition.weighted_ranges`)
+        and by item count otherwise
+        (:func:`~repro.parallel.partition.block_ranges`).
+        """
+        if weights is None:
+            ranges = block_ranges(n, self.num_workers)
+        else:
+            ranges = weighted_ranges(weights, self.num_workers)
+        return [(lo, hi) for lo, hi in ranges if hi > lo]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -385,14 +372,15 @@ class ExecutionContext:
         self._closers.append(closer)
 
     def close(self) -> None:
-        """Release the backend's pools (worker processes, threads, shm).
+        """Release the process backend's worker processes and shm segments.
 
         Registered closers (mmap releases, attached stores) run first,
         newest-first, so teardown unwinds in reverse acquisition order.
         """
         while self._closers:
             self._closers.pop()()
-        close_backend(self.backend)
+        if isinstance(self.backend, ProcessBackend):
+            self.backend.close()
 
     def __enter__(self) -> "ExecutionContext":
         return self

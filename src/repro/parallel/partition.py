@@ -1,13 +1,14 @@
-"""Work partitioners mirroring OpenMP's static/cyclic/guided schedules.
+"""Contiguous work partitioners: item-count and work-balanced splits.
 
-Besides the classic item-count splitters, :func:`weighted_ranges`
-implements the *triangle-balanced* split of the eager k-truss
-load-balancing study (Blanco & Low, arXiv:2009.07929): contiguous
-ranges are cut so each holds a near-equal share of a per-item **work
-estimate** (for triangle kernels: the wedge count, a prefix sum of
-degree products) instead of a near-equal share of the items. On skewed
-degree distributions the last block of an item-count split otherwise
-owns most of the wedges and every other worker idles at the barrier.
+:func:`block_ranges` is OpenMP's ``schedule(static)`` item-count split;
+:func:`weighted_ranges` implements the *triangle-balanced* split of
+the eager k-truss load-balancing study (Blanco & Low,
+arXiv:2009.07929): contiguous ranges are cut so each holds a
+near-equal share of a per-item **work estimate** (for triangle
+kernels: the wedge count, a prefix sum of degree products) instead of
+a near-equal share of the items. On skewed degree distributions the
+last block of an item-count split otherwise owns most of the wedges
+and every other worker idles at the barrier.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.utils.validation import check_nonnegative, check_positive
-
-#: Contiguous-range partitioning strategies understood by the kernels:
-#: ``blocked`` splits by item count (OpenMP static), ``balanced`` splits
-#: by a per-item work estimate when the kernel can supply one.
-PARTITION_STRATEGIES = ("blocked", "balanced")
 
 
 def block_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -74,57 +70,7 @@ def weighted_ranges(weights, parts: int) -> list[tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def partition_ranges(
-    n: int, parts: int, weights=None, strategy: str = "balanced"
-) -> list[tuple[int, int]]:
-    """Contiguous ranges over ``range(n)`` under the chosen strategy.
-
-    ``balanced`` uses :func:`weighted_ranges` when the caller supplies a
-    per-item work estimate and falls back to :func:`block_ranges` when
-    it cannot (``weights=None``); ``blocked`` always splits by count.
-    This is the single dispatch point the triangle/support/peeling
-    fan-outs route through, keyed off
-    :attr:`repro.parallel.context.ExecutionContext.partition`.
-    """
-    if strategy not in PARTITION_STRATEGIES:
-        raise InvalidParameterError(
-            f"partition strategy must be one of {PARTITION_STRATEGIES}, "
-            f"got {strategy!r}"
-        )
-    if strategy == "balanced" and weights is not None:
-        return weighted_ranges(weights, parts)
-    return block_ranges(n, parts)
-
-
 def range_weights(weights, ranges: list[tuple[int, int]]) -> list[int]:
     """Total estimated work per range — the ``work=`` attr of each task."""
     w = np.asarray(weights)
     return [int(w[lo:hi].sum()) for lo, hi in ranges]
-
-
-def cyclic_indices(n: int, parts: int, part: int) -> np.ndarray:
-    """Indices owned by ``part`` under round-robin (``schedule(static,1)``)."""
-    check_nonnegative("n", n)
-    check_positive("parts", parts)
-    if not 0 <= part < parts:
-        raise IndexError(f"part {part} out of range for {parts} parts")
-    return np.arange(part, n, parts, dtype=np.int64)
-
-
-def guided_ranges(n: int, parts: int, min_chunk: int = 1) -> list[tuple[int, int]]:
-    """Guided schedule: chunk size = remaining / parts, halving over time.
-
-    Returns the full ordered chunk list (assignment to threads is
-    dynamic at run time; callers treat this as a work queue).
-    """
-    check_nonnegative("n", n)
-    check_positive("parts", parts)
-    check_positive("min_chunk", min_chunk)
-    chunks = []
-    lo = 0
-    while lo < n:
-        size = max((n - lo + parts - 1) // parts, min_chunk)
-        hi = min(lo + size, n)
-        chunks.append((lo, hi))
-        lo = hi
-    return chunks

@@ -1,7 +1,7 @@
 """Shared-memory process backend: persistent workers, zero-copy arrays.
 
-The thread backend demonstrates interleaving under the GIL; this module
-provides *actual* multicore execution. Three coordinated pieces:
+The one parallel backend: actual multicore execution past the GIL.
+Three coordinated pieces:
 
 * :class:`SharedArrayPool` — a keyed arena of named
   ``multiprocessing.shared_memory`` segments holding NumPy arrays. It
@@ -50,7 +50,6 @@ import numpy as np
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.parallel.backends import ChunkFn
     from repro.parallel.context import ExecutionContext
 
 from repro.analysis.races import (
@@ -64,7 +63,6 @@ from repro.errors import BackendError
 from repro.obs import metrics
 from repro.obs.histogram import DEFAULT_MS_BOUNDARIES
 from repro.obs.worker import capture_task, merge_envelope
-from repro.utils.validation import check_positive
 
 #: Default minimum number of items before a kernel pays the task
 #: round-trip cost (~1 ms warm) to fan work out to the worker pool.
@@ -314,23 +312,16 @@ def _task_shared_bytes(args: tuple) -> int:
 class ProcessBackend:
     """Persistent fork-server worker pool over shared-memory arrays.
 
-    Satisfies the ``parallel_for`` backend protocol for compatibility
-    (generic chunk closures cannot cross a process boundary, so
-    :meth:`run` executes inline on the coordinator); the real multicore
-    path is :meth:`map_tasks`, used by the kernels ported to the
-    partition → privatize → reduce shape. The pool and the
+    Kernels in the partition → privatize → reduce shape fan out through
+    :meth:`map_tasks` once a problem has ``min_items`` items; the worker
+    count is the owning context's ``num_workers``. The pool and the
     :class:`SharedArrayPool` are owned by whichever
     :class:`~repro.parallel.context.ExecutionContext` holds this
     backend and are released by its ``close()``.
     """
 
-    name = "process"
-
-    def __init__(
-        self, num_workers: int | None = None, min_items: int = PROCESS_MIN_ITEMS
-    ) -> None:
+    def __init__(self, min_items: int = PROCESS_MIN_ITEMS) -> None:
         self.min_items = int(min_items)
-        self._requested_workers = num_workers
         self._executor: ProcessPoolExecutor | None = None
         self._executor_workers = 0
         self._warned = False
@@ -369,17 +360,6 @@ class ProcessBackend:
             )
 
     # ------------------------------------------------------------ execution
-    def run(self, n: int, chunk_fn: "ChunkFn", num_workers: int = 1) -> None:
-        """Generic ``parallel_for`` contract: coordinator-inline.
-
-        Closure chunk functions mutate coordinator-local arrays and are
-        not picklable; only kernels speaking the privatize-and-reduce
-        protocol (:meth:`map_tasks`) fan out across processes — exactly
-        the SV/Afforest-hooks-stay-on-the-coordinator split.
-        """
-        check_positive("num_workers", num_workers)
-        chunk_fn(0, n, 0)
-
     def map_tasks(
         self,
         fn: Callable,
@@ -467,7 +447,6 @@ class ProcessBackend:
                 workers=len(tasks),
                 imbalance=round(float(imbalance), 4),
                 **extra,
-                partition=ctx.partition,
             )
         else:
             for envelope in envelopes:
@@ -504,13 +483,9 @@ def active_process_backend(
     context runs the process backend with more than one worker and the
     problem has at least ``backend.min_items`` items to split.
     """
-    if ctx is None:
+    if ctx is None or ctx.num_workers <= 1:
         return None
-    backend = getattr(ctx, "backend", None)
-    if not isinstance(backend, ProcessBackend):
-        return None
-    if getattr(ctx, "num_workers", 1) <= 1:
-        return None
-    if size < backend.min_items:
+    backend = ctx.backend
+    if not isinstance(backend, ProcessBackend) or size < backend.min_items:
         return None
     return backend

@@ -128,7 +128,6 @@ class QueryEngine:
         self.cache.put(key, communities)
         elapsed = time.perf_counter() - t0
         metrics.inc("repro.serve.queries")
-        metrics.observe("repro.serve.latency_seconds", elapsed)
         metrics.observe(
             "repro.serve.latency_ms", elapsed * 1000.0, boundaries=DEFAULT_MS_BOUNDARIES
         )
@@ -190,7 +189,6 @@ class QueryEngine:
         elapsed = time.perf_counter() - t0
         metrics.inc("repro.serve.queries", len(misses))
         metrics.inc("repro.serve.batch_requests", int(vs.size))
-        metrics.observe("repro.serve.batch_latency_seconds", elapsed)
         metrics.observe(
             "repro.serve.batch_latency_ms",
             elapsed * 1000.0,

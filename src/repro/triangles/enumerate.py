@@ -232,14 +232,13 @@ def _enumerate_process(
     chunks, imports the per-worker append buffers, and concatenates them
     in worker order (bit-identical to the serial batch loop).
 
-    Chunk boundaries follow the context's partition strategy: under
-    ``balanced`` each selection is cut by its per-slot **wedge count**
-    (the out-degree of the expanded endpoint — the work the expansion
+    Each selection is cut by its per-slot **wedge count** (the
+    out-degree of the expanded endpoint — the work the expansion
     actually does) instead of the slot count, per the eager k-truss
     load-balancing study (arXiv:2009.07929). Results concatenate in
-    range order either way, so the strategy never changes the output —
-    only the per-worker ``work`` attrs, which record the estimated wedge
-    share each task carried.
+    range order, so the cut points never change the output — only the
+    per-worker ``work`` attrs, which record the estimated wedge share
+    each task carried.
     """
     from repro.parallel.partition import range_weights
     from repro.parallel.shm import import_array

@@ -41,10 +41,8 @@ def parallel_support(
     Bit-identical to :meth:`TriangleSet.support` — integer partial sums
     reduce exactly regardless of the partitioning. Items are whole
     triangles (three ``bincount`` updates each, a uniform per-item
-    cost), so the context's ``balanced`` and ``blocked`` partition
-    strategies produce the same split here; the fan-out still routes
-    through :meth:`ExecutionContext.partition_ranges` so the strategy is
-    recorded uniformly on the worker spans.
+    cost), so :meth:`ExecutionContext.partition_ranges` splits them by
+    count.
     """
     from repro.parallel.shm import active_process_backend
 

@@ -150,16 +150,11 @@ class _SharedPeelState:
                 "peel.frontier", self.m, np.int64
             )
 
-    def _ranges(self, n: int) -> list[tuple[int, int]]:
-        # edges are uniform-cost items in scans and decrements, so the
-        # balanced and blocked strategies coincide here
-        return self.ctx.partition_ranges(n)
-
     def scan_frontier(self, bound: int) -> np.ndarray:
         """``flatnonzero(alive & (sup < bound))`` via partitioned scans."""
         if not self.scan_enabled:
             return np.flatnonzero(self.alive & (self.sup < bound))
-        ranges = self._ranges(self.m)
+        ranges = self.ctx.partition_ranges(self.m)
         if not ranges:
             return np.empty(0, dtype=np.int64)
         counts = self.backend.map_tasks(
@@ -182,7 +177,7 @@ class _SharedPeelState:
             return
         pool = self.backend.pool
         _, sides_h = pool.share("peel.sides", sides)
-        ranges = self._ranges(sides.size)
+        ranges = self.ctx.partition_ranges(sides.size)
         partials, out_h = pool.take("peel.partials", (len(ranges), self.m), np.int64)
         self.backend.map_tasks(
             _w_decrement_partial,

@@ -178,7 +178,7 @@ def test_tracking_toggle_controls_attach(tracking):
 @pytest.mark.process_backend
 @needs_fork
 def test_backend_disjoint_kernel_passes(tracking):
-    be = ProcessBackend(num_workers=2, min_items=0)
+    be = ProcessBackend(min_items=0)
     try:
         view, h = be.pool.take("ok", 16, np.int64)
         view[:] = 0
@@ -192,7 +192,7 @@ def test_backend_disjoint_kernel_passes(tracking):
 @pytest.mark.process_backend
 @needs_fork
 def test_backend_catches_overlapping_partition(tracking):
-    be = ProcessBackend(num_workers=2, min_items=0)
+    be = ProcessBackend(min_items=0)
     try:
         _view, h = be.pool.take("bad", 16, np.int64)
         with pytest.raises(PartitionOverlapError, match="partitions must be disjoint"):
@@ -204,7 +204,7 @@ def test_backend_catches_overlapping_partition(tracking):
 @pytest.mark.process_backend
 @needs_fork
 def test_backend_catches_stale_read(tracking):
-    be = ProcessBackend(num_workers=2, min_items=0)
+    be = ProcessBackend(min_items=0)
     try:
         view, h = be.pool.take("stale", 16, np.int64)
         view[:] = 0
@@ -217,7 +217,7 @@ def test_backend_catches_stale_read(tracking):
 @pytest.mark.process_backend
 @needs_fork
 def test_backend_shared_readonly_input_is_fine(tracking):
-    be = ProcessBackend(num_workers=2, min_items=0)
+    be = ProcessBackend(min_items=0)
     try:
         out_view, out_h = be.pool.take("rout", 4, np.int64)
         out_view[:] = 0
@@ -234,7 +234,7 @@ def test_backend_shared_readonly_input_is_fine(tracking):
 def test_inline_fallback_detects_on_one_core(tracking, monkeypatch):
     """The detector needs no real interleaving: with the pool disabled the
     tasks run sequentially on the coordinator and the overlap still fails."""
-    be = ProcessBackend(num_workers=2, min_items=0)
+    be = ProcessBackend(min_items=0)
     monkeypatch.setattr(ProcessBackend, "_ensure_executor", lambda self, n: None)
     try:
         with pytest.warns(RuntimeWarning, match="running tasks inline"):
@@ -248,7 +248,7 @@ def test_inline_fallback_detects_on_one_core(tracking, monkeypatch):
 def test_tracking_off_keeps_plain_views():
     races.reset_tracking()
     races.enable_tracking(False)
-    be = ProcessBackend(num_workers=2, min_items=0)
+    be = ProcessBackend(min_items=0)
     try:
         _view, h = be.pool.take("plain", 8, np.int64)
         arr = attach(h)
@@ -273,7 +273,7 @@ def test_shipped_kernels_race_clean_and_bit_identical(tracking):
 
     def build(track):
         races.enable_tracking(track)
-        be = ProcessBackend(num_workers=2, min_items=1)
+        be = ProcessBackend(min_items=1)
         ctx = ExecutionContext(backend=be, num_workers=2)
         try:
             return build_index(graph, ctx=ctx).index

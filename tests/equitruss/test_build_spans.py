@@ -46,7 +46,7 @@ def test_serial_build_breakdown_is_region_spans_only():
 )
 def test_process_build_breakdown_is_region_spans_only():
     with ExecutionContext(
-        backend=ProcessBackend(num_workers=2, min_items=0), num_workers=2
+        backend=ProcessBackend(min_items=0), num_workers=2
     ) as ctx:
         result = build_index(_graph(), "afforest", ctx=ctx)
     workers = [sp for sp, _ in result.tracer.walk() if "worker_id" in sp.attrs]

@@ -78,25 +78,6 @@ def test_triangle_pipeline_exact_on_high_id_graph():
         assert idx == equitruss_serial(g)
 
 
-def test_streaming_builder_keys_exact_past_int32():
-    """StreamingEdgeListBuilder folds chunks through u·n + v set keys;
-    at 70000 vertices those keys exceed int32 and must stay int64
-    through renumber-on-growth and finalize."""
-    from repro.graph.streaming import StreamingEdgeListBuilder
-
-    a, b, c = N - 3, N - 2, N - 1
-    builder = StreamingEdgeListBuilder()
-    builder.add_chunk(np.array([0, a]), np.array([a, b]))  # grows n to b+1
-    builder.add_chunk(np.array([c, b]), np.array([a, c]))  # regrows to N
-    edges = builder.finalize(num_vertices=N)
-    assert edges.num_vertices == N
-    assert edges.as_tuples() == [(0, a), (a, b), (a, c), (b, c)]
-    # re-finalizing at a larger id space re-keys with the wider n — the
-    # second overflow-prone product in streaming.finalize
-    wider = builder.finalize(num_vertices=N + 7)
-    assert wider.as_tuples() == [(0, a), (a, b), (a, c), (b, c)]
-
-
 def test_fused_build_matches_keyed_past_int32():
     """The fused single-pass Init and the legacy keyed build agree at a
     vertex count whose key space exceeds int32 (both int64-guarded)."""

@@ -131,7 +131,7 @@ def _build_with_registry(backend_name, workers):
         if backend_name == "process":
             from repro.parallel.shm import ProcessBackend
 
-            backend = ProcessBackend(num_workers=workers, min_items=0)
+            backend = ProcessBackend(min_items=0)
         else:
             backend = backend_name
         ctx = ExecutionContext(backend=backend, num_workers=workers)

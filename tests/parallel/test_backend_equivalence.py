@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: serial == thread == process, bit for bit.
+"""Cross-backend equivalence: serial == process, bit for bit.
 
 The process backend's partition → privatize → reduce kernels are
 designed to reproduce the serial vectorized results exactly (ordered
@@ -46,10 +46,9 @@ def _graph(name):
 def _contexts():
     """(label, fresh-context factory) for every backend under test."""
     yield "serial", lambda: ExecutionContext(backend="serial")
-    yield "thread", lambda: ExecutionContext(backend="thread", num_workers=3)
     if process_backend_available():
         yield "process", lambda: ExecutionContext(
-            backend=ProcessBackend(num_workers=3, min_items=0), num_workers=3
+            backend=ProcessBackend(min_items=0), num_workers=3
         )
 
 
@@ -106,7 +105,7 @@ def test_fig3_golden_example_under_process_backend(variant):
     supernodes/superedges verbatim, like every other execution mode."""
     g = CSRGraph.from_edgelist(paper_example_graph())
     with ExecutionContext(
-        backend=ProcessBackend(num_workers=3, min_items=0), num_workers=3
+        backend=ProcessBackend(min_items=0), num_workers=3
     ) as ctx:
         index = build_index(g, variant, ctx=ctx).index
     index.validate()

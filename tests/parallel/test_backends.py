@@ -1,55 +1,31 @@
-"""Unit tests for execution backends and the ExecutionContext defaults."""
+"""Unit tests for backend resolution and the ExecutionContext defaults."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.errors import BackendError
-from repro.parallel import ExecutionContext, get_backend, parallel_for
+from repro.parallel import ExecutionContext
 from repro.parallel.atomics import AtomicArray
-
-
-def test_serial_backend_runs_once():
-    calls = []
-    parallel_for(10, lambda lo, hi, tid: calls.append((lo, hi, tid)), "serial")
-    assert calls == [(0, 10, 0)]
-
-
-def test_thread_backend_covers_range():
-    out = np.zeros(1000, dtype=np.int64)
-
-    def chunk(lo, hi, tid):
-        out[lo:hi] += 1
-
-    parallel_for(1000, chunk, "thread", num_workers=4)
-    assert np.all(out == 1)
-
-
-def test_thread_backend_propagates_exception():
-    def chunk(lo, hi, tid):
-        if tid == 1:
-            raise ValueError("boom")
-
-    with pytest.raises(ValueError, match="boom"):
-        parallel_for(100, chunk, "thread", num_workers=3)
-
-
-def test_thread_backend_single_worker_inline():
-    tids = []
-    parallel_for(5, lambda lo, hi, tid: tids.append(tid), "thread", num_workers=1)
-    assert tids == [0]
+from repro.parallel.partition import block_ranges
 
 
 def test_unknown_backend():
+    for name in ("gpu", "thread"):
+        with pytest.raises(BackendError, match="unknown backend"):
+            ExecutionContext(backend=name)
     with pytest.raises(BackendError):
-        get_backend("gpu")
+        ExecutionContext(backend=object())
 
 
 def test_policy_defaults_and_run():
     p = ExecutionContext.ensure(None)
     assert p.num_workers == 1
-    seen = []
-    p.run(3, lambda lo, hi, tid: seen.append((lo, hi)))
-    assert seen == [(0, 3)]
+    assert p.backend is None  # serial: every kernel runs its vectorized path
+    assert p.shared_pool is None
+    assert p.provenance()["backend"] == "serial"
+    p.close()  # nothing to release
 
 
 def test_atomic_array_cas_and_min():
@@ -70,37 +46,11 @@ def test_atomic_array_concurrent_min():
     a = AtomicArray(np.array([10**9]))
     values = np.random.default_rng(0).integers(0, 10**6, size=2000)
 
-    def chunk(lo, hi, tid):
+    def chunk(lo, hi):
         for v in values[lo:hi]:
             a.fetch_min(0, int(v))
 
-    parallel_for(values.size, chunk, "thread", num_workers=8)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        for fut in [pool.submit(chunk, lo, hi) for lo, hi in block_ranges(values.size, 8)]:
+            fut.result()
     assert a.load(0) == int(values.min())
-
-
-def test_thread_backend_pool_persists_and_closes():
-    from repro.parallel.backends import ThreadBackend, close_backend
-
-    backend = ThreadBackend()
-    backend.run(100, lambda lo, hi, tid: None, num_workers=3)
-    pool = backend._pool
-    assert pool is not None
-    backend.run(100, lambda lo, hi, tid: None, num_workers=2)
-    assert backend._pool is pool  # reused, not rebuilt for fewer workers
-    backend.run(100, lambda lo, hi, tid: None, num_workers=5)
-    assert backend._pool is not pool  # grown
-    close_backend(backend)
-    assert backend._pool is None
-    # close() is not terminal: the pool re-creates on next use
-    backend.run(10, lambda lo, hi, tid: None, num_workers=2)
-    assert backend._pool is not None
-    backend.close()
-
-
-def test_thread_backend_single_worker_never_builds_pool():
-    from repro.parallel.backends import ThreadBackend
-
-    backend = ThreadBackend()
-    backend.run(10, lambda lo, hi, tid: None, num_workers=1)
-    assert backend._pool is None
-    backend.close()

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.parallel.partition import (
-    PARTITION_STRATEGIES,
-    block_ranges,
-    cyclic_indices,
-    guided_ranges,
-    partition_ranges,
-    range_weights,
-    weighted_ranges,
-)
+from repro.parallel.context import ExecutionContext
+from repro.parallel.partition import block_ranges, range_weights, weighted_ranges
 
 
 def test_block_ranges_cover_and_balance():
@@ -34,30 +27,6 @@ def test_block_ranges_invalid():
         block_ranges(10, 0)
     with pytest.raises(InvalidParameterError):
         block_ranges(-1, 2)
-
-
-def test_cyclic_indices_partition():
-    n, parts = 17, 4
-    all_idx = np.concatenate([cyclic_indices(n, parts, p) for p in range(parts)])
-    assert sorted(all_idx.tolist()) == list(range(n))
-    assert cyclic_indices(10, 3, 1).tolist() == [1, 4, 7]
-    with pytest.raises(IndexError):
-        cyclic_indices(10, 3, 3)
-
-
-def test_guided_ranges_cover_and_decrease():
-    chunks = guided_ranges(1000, 4)
-    assert chunks[0][0] == 0 and chunks[-1][1] == 1000
-    sizes = [hi - lo for lo, hi in chunks]
-    assert sizes == sorted(sizes, reverse=True) or min(sizes) >= 1
-    # covers every index exactly once
-    covered = [i for lo, hi in chunks for i in range(lo, hi)]
-    assert covered == list(range(1000))
-
-
-def test_guided_ranges_min_chunk():
-    chunks = guided_ranges(100, 50, min_chunk=10)
-    assert all(hi - lo >= 10 or hi == 100 for lo, hi in chunks)
 
 
 def _assert_cover(ranges, n, parts):
@@ -104,15 +73,13 @@ def test_weighted_ranges_validation():
 
 
 def test_partition_ranges_dispatch():
+    """Kernel-supplied weights cut by work; no weights cut by count.
+    Empty ranges are dropped."""
     w = np.array([10, 1, 1, 1, 1, 1, 1, 10])
-    assert partition_ranges(8, 2, weights=w, strategy="balanced") == \
-        weighted_ranges(w, 2)
-    assert partition_ranges(8, 2, weights=w, strategy="blocked") == \
-        block_ranges(8, 2)
-    assert partition_ranges(8, 2, strategy="balanced") == block_ranges(8, 2)
-    with pytest.raises(InvalidParameterError):
-        partition_ranges(8, 2, strategy="best")
-    assert "balanced" in PARTITION_STRATEGIES
+    ctx = ExecutionContext(num_workers=2)
+    assert ctx.partition_ranges(8, weights=w) == weighted_ranges(w, 2)
+    assert ctx.partition_ranges(8) == block_ranges(8, 2)
+    assert ExecutionContext(num_workers=4).partition_ranges(2) == [(0, 1), (1, 2)]
 
 
 def test_range_weights_sums_per_range():

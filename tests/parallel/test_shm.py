@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from repro.errors import BackendError
-from repro.parallel import get_backend
-from repro.parallel.backends import ThreadBackend, close_backend
 from repro.parallel.context import ExecutionContext
 from repro.parallel.shm import (
     ProcessBackend,
@@ -129,7 +127,7 @@ def test_pool_rejects_negative_shape():
 @pytest.mark.process_backend
 @needs_fork
 def test_map_tasks_order_and_values():
-    backend = ProcessBackend(num_workers=3, min_items=0)
+    backend = ProcessBackend(min_items=0)
     try:
         data = np.arange(900, dtype=np.int64)
         _, h = backend.pool.share("d", data)
@@ -143,7 +141,7 @@ def test_map_tasks_order_and_values():
 @pytest.mark.process_backend
 @needs_fork
 def test_worker_pool_persists_across_invocations():
-    backend = ProcessBackend(num_workers=2, min_items=0)
+    backend = ProcessBackend(min_items=0)
     try:
         first = set(backend.map_tasks(_pid_task, [(0,), (1,)]))
         executor = backend._executor
@@ -162,7 +160,7 @@ def test_worker_pool_persists_across_invocations():
 @pytest.mark.process_backend
 @needs_fork
 def test_worker_exception_propagates_and_pool_survives():
-    backend = ProcessBackend(num_workers=2, min_items=0)
+    backend = ProcessBackend(min_items=0)
     try:
         with pytest.raises(ValueError, match="worker boom 7"):
             backend.map_tasks(_boom, [(7,)])
@@ -175,7 +173,7 @@ def test_worker_exception_propagates_and_pool_survives():
 @pytest.mark.process_backend
 @needs_fork
 def test_worker_export_import_protocol():
-    backend = ProcessBackend(num_workers=2, min_items=0)
+    backend = ProcessBackend(min_items=0)
     try:
         arr = np.arange(64, dtype=np.int64)
         _, h = backend.pool.share("x", arr)
@@ -189,7 +187,7 @@ def test_map_tasks_inline_fallback(monkeypatch):
     import repro.parallel.shm as shm
 
     monkeypatch.setattr(shm, "process_backend_available", lambda: False)
-    backend = ProcessBackend(num_workers=2, min_items=0)
+    backend = ProcessBackend(min_items=0)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -204,12 +202,10 @@ def test_map_tasks_inline_fallback(monkeypatch):
 
 
 def test_map_tasks_empty_and_run_contract():
-    backend = ProcessBackend(num_workers=2, min_items=0)
+    backend = ProcessBackend(min_items=0)
     try:
         assert backend.map_tasks(_pid_task, []) == []
-        calls = []
-        backend.run(10, lambda lo, hi, tid: calls.append((lo, hi, tid)), 4)
-        assert calls == [(0, 10, 0)]  # parallel_for stays coordinator-inline
+        assert backend._executor is None  # no tasks, no pool spun up
     finally:
         backend.close()
 
@@ -217,7 +213,7 @@ def test_map_tasks_empty_and_run_contract():
 @pytest.mark.process_backend
 @needs_fork
 def test_map_tasks_records_worker_spans():
-    backend = ProcessBackend(num_workers=2, min_items=0)
+    backend = ProcessBackend(min_items=0)
     ctx = ExecutionContext(backend=backend, num_workers=2)
     try:
         data = np.arange(100, dtype=np.int64)
@@ -250,7 +246,7 @@ def test_map_tasks_records_worker_spans():
 # ----------------------------------------------------------------------
 
 def test_active_process_backend_gating():
-    backend = ProcessBackend(num_workers=4, min_items=100)
+    backend = ProcessBackend(min_items=100)
     ctx = ExecutionContext(backend=backend, num_workers=4)
     try:
         assert active_process_backend(None, 10**9) is None
@@ -265,17 +261,18 @@ def test_active_process_backend_gating():
 
 
 def test_get_backend_process_and_close_helper():
-    backend = get_backend("process")
-    assert isinstance(backend, ProcessBackend)
-    close_backend(backend)  # no pool was spun up; must be a clean no-op
-    close_backend(ThreadBackend())
-    close_backend(object())  # objects without close() are tolerated
+    ctx = ExecutionContext(backend="process", num_workers=2)
+    assert isinstance(ctx.backend, ProcessBackend)
+    assert ctx.shared_pool is ctx.backend.pool
+    assert ctx.provenance()["backend"] == "process"
+    ctx.close()  # no pool was spun up; must be a clean no-op
+    ctx.close()
 
 
 @pytest.mark.process_backend
 @needs_fork
 def test_execution_context_owns_backend_resources():
-    backend = ProcessBackend(num_workers=2, min_items=0)
+    backend = ProcessBackend(min_items=0)
     with ExecutionContext(backend=backend, num_workers=2) as ctx:
         assert ctx.shared_pool is backend.pool
         _, h = backend.pool.share("x", np.arange(4))

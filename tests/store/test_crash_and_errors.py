@@ -173,7 +173,7 @@ def test_error_taxonomy():
 
 def test_ctx_close_releases_mapping_before_backend(built):
     _, result = built
-    ctx = ExecutionContext(backend="thread", num_workers=2)
+    ctx = ExecutionContext(backend="process", num_workers=2)
     store = attach_store(result.store_path, ctx=ctx)
     assert not store.closed
     ctx.close()  # closers run before backend teardown

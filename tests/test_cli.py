@@ -106,7 +106,7 @@ def test_index_context_flags_and_trace_memory(tmp_path, capsys):
     for dtype in ("auto", "int32", "int64"):
         index_path = tmp_path / f"i-{dtype}.npz"
         assert main(["index", str(graph_path), "--out", str(index_path),
-                     "--dtype", dtype, "--backend", "thread", "--workers", "2",
+                     "--dtype", dtype, "--backend", "process", "--workers", "2",
                      "--trace-out", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "peak workspace" in out
@@ -128,6 +128,12 @@ def test_index_context_flags_and_trace_memory(tmp_path, capsys):
 
     assert main(["verify", str(tmp_path / 'i-auto.npz'), "--dtype", "int32"]) == 0
     assert "OK" in capsys.readouterr().out
+
+    # the backend choices are serial and process only
+    with pytest.raises(SystemExit) as exc:
+        main(["index", str(graph_path), "--out", str(tmp_path / "t.npz"),
+              "--backend", "thread"])
+    assert exc.value.code == 2
 
 
 def test_query_specific_k(tmp_path, capsys):

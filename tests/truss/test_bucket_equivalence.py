@@ -1,10 +1,10 @@
 """Equivalence of the vectorized peeler with the serial reference.
 
 The level-synchronous scan peeler must match the serial bucket-queue
-reference bit for bit — same trussness, same support — on every
-backend, under either partition strategy, and regardless of the index
-dtype; its ``peel_rounds`` must not depend on any of those either.
-These are equality tests, not approximate ones.
+reference bit for bit — same trussness, same support — on both
+backends, under any worker count, and regardless of the index dtype;
+its ``peel_rounds`` must not depend on any of those either. These are
+equality tests, not approximate ones.
 """
 
 import numpy as np
@@ -40,19 +40,11 @@ def _graph(name):
     return CSRGraph.from_edgelist(GRAPHS[name]())
 
 
-def _contexts(partition="balanced", dtype="auto"):
-    yield "serial", lambda: ExecutionContext(
-        backend="serial", partition=partition, dtype=dtype
-    )
-    yield "thread", lambda: ExecutionContext(
-        backend="thread", num_workers=3, partition=partition, dtype=dtype
-    )
+def _contexts(dtype="auto", workers=3):
+    yield "serial", lambda: ExecutionContext(backend="serial", dtype=dtype)
     if process_backend_available():
         yield "process", lambda: ExecutionContext(
-            backend=ProcessBackend(num_workers=3, min_items=0),
-            num_workers=3,
-            partition=partition,
-            dtype=dtype,
+            backend=ProcessBackend(min_items=0), num_workers=workers, dtype=dtype
         )
 
 
@@ -70,20 +62,19 @@ def test_scan_equals_serial_reference(name):
 @needs_fork
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_scan_equals_serial_reference_on_every_backend(name):
-    """Every backend × partition × dtype case against the reference."""
+    """Every backend × dtype case against the reference."""
     edges = GRAPHS[name]()
     ref = truss_decomposition_serial(_graph(name))
     rounds = set()
-    for partition in ("balanced", "blocked"):
-        for dtype in ("int32", "int64"):
-            for label, make in _contexts(partition=partition, dtype=dtype):
-                case = (name, label, partition, dtype)
-                with make() as ctx:
-                    g = CSRGraph.from_edgelist(edges, ctx=ctx)
-                    got = truss_decomposition(g, ctx=ctx)
-                assert np.array_equal(got.trussness, ref.trussness), case
-                assert np.array_equal(got.support, ref.support), case
-                rounds.add(got.peel_rounds)
+    for dtype in ("int32", "int64"):
+        for label, make in _contexts(dtype=dtype):
+            case = (name, label, dtype)
+            with make() as ctx:
+                g = CSRGraph.from_edgelist(edges, ctx=ctx)
+                got = truss_decomposition(g, ctx=ctx)
+            assert np.array_equal(got.trussness, ref.trussness), case
+            assert np.array_equal(got.support, ref.support), case
+            rounds.add(got.peel_rounds)
     assert len(rounds) == 1, name
 
 
@@ -91,18 +82,19 @@ def test_scan_equals_serial_reference_on_every_backend(name):
 @needs_fork
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_partition_strategies_bit_identical(name):
-    """``balanced`` and ``blocked`` splits feed the same ordered
+    """Splits into 2 and 3 worker ranges (wedge-weighted for triangle
+    enumeration, by count for support and peeling) feed the same ordered
     concatenation — triangles, support, and trussness cannot differ."""
     g = _graph(name)
     results = {}
-    for strategy in ("balanced", "blocked"):
-        for label, make in _contexts(partition=strategy):
+    for workers in (2, 3):
+        for label, make in _contexts(workers=workers):
             with make() as ctx:
                 tris = enumerate_triangles(g, ctx=ctx)
                 sup = compute_support(g, triangles=tris, ctx=ctx)
                 tau = truss_decomposition(g, triangles=tris, ctx=ctx).trussness
-            results[(strategy, label)] = (tris, sup, tau)
-    (ref_tris, ref_sup, ref_tau) = results[("balanced", "serial")]
+            results[(workers, label)] = (tris, sup, tau)
+    (ref_tris, ref_sup, ref_tau) = results[(2, "serial")]
     for key, (tris, sup, tau) in results.items():
         for attr in ("e_uv", "e_uw", "e_vw"):
             assert np.array_equal(
@@ -134,15 +126,11 @@ def test_dtype_invariance_int32_int64(name):
 @needs_fork
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_index_identical_under_process_and_balanced(variant):
-    """End-to-end: every variant builds the same index under balanced
-    partitions on the process backend as on the serial blocked path."""
+    """End-to-end: every variant builds the same index under
+    work-balanced partitions on the process backend as on the serial
+    path."""
     g = _graph("er")
-    legacy = ExecutionContext(backend="serial", partition="blocked")
-    ref = build_index(g, variant, ctx=legacy).index
-    with ExecutionContext(
-        backend=ProcessBackend(num_workers=3, min_items=0),
-        num_workers=3,
-        partition="balanced",
-    ) as ctx:
+    ref = build_index(g, variant, ctx=ExecutionContext(backend="serial")).index
+    with ExecutionContext(backend=ProcessBackend(min_items=0), num_workers=3) as ctx:
         got = build_index(g, variant, ctx=ctx).index
     assert got == ref, variant
