@@ -104,7 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--variant", default="afforest")
     parser.add_argument("--seconds", type=float, default=None,
                         help="load window per sweep point")
-    parser.add_argument("--window-ms", type=float, default=2.0)
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-pending", type=int, default=4096)
     parser.add_argument("--seed", type=int, default=42)
@@ -134,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         config = FrontendConfig(
             store_path=store_path,
             num_shards=args.shards,
-            window_ms=args.window_ms,
             max_batch=args.max_batch,
             max_pending=args.max_pending,
         )
@@ -230,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         snap.attach_manifest(collect_manifest(
             graph=graph, dataset=dataset,
             extra={"experiment": exp_closed, "shards": args.shards,
-                   "window_ms": args.window_ms, "max_batch": args.max_batch},
+                   "max_batch": args.max_batch},
         ))
         path = snap.write()
         load_snapshot(path)  # schema round trip

@@ -354,7 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         host=args.host,
         port=args.port,
-        window_ms=args.window_ms,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         cache_size=args.cache_size,
@@ -366,7 +365,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {args.store} at {frontend.host}:{frontend.port} "
             f"with {args.shards} shards "
-            f"(window {args.window_ms} ms, max batch {args.max_batch}, "
+            f"(max batch {args.max_batch}, "
             f"admission limit {args.max_pending})"
         )
         if args.endpoint_file:
@@ -657,10 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=0,
                      help="TCP port (0 picks an ephemeral one)")
-    srv.add_argument("--window-ms", type=float, default=2.0,
-                     help="request-coalescing window in milliseconds")
     srv.add_argument("--max-batch", type=int, default=64,
-                     help="flush a coalesced batch at this size")
+                     help="most requests one shard batch carries")
     srv.add_argument("--max-pending", type=int, default=1024,
                      help="admission limit before backpressure rejections")
     srv.add_argument("--cache-size", type=int, default=1024,

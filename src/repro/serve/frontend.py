@@ -5,25 +5,34 @@ server speaks the newline-delimited JSON protocol of
 :mod:`repro.serve.protocol` and turns a stream of single
 ``(vertex, k)`` queries into shard-worker ``query_many`` batches:
 
-* **Coalescing** — concurrent requests with the same ``k`` are buffered
-  into one batch, flushed when the batch reaches ``max_batch`` or the
-  ``window_ms`` timer fires, whichever comes first. A lone request
-  never waits longer than one window.
-* **Admission control** — at most ``max_pending`` admitted requests may
-  be in the house (buffered or in flight); past that the frontend
-  answers immediately with a typed ``backpressure`` rejection instead
-  of queueing into a timeout.
-* **Shard routing** — each batch is split by the block vertex
-  partition of :class:`repro.distributed.partition.VertexOwnership`;
-  shard ``r`` answers the vertices it owns. Every shard worker maps
+* **Shard routing** — each request goes to the shard that owns its
+  vertex under the block partition of
+  :class:`repro.distributed.partition.VertexOwnership`. Every shard worker maps
   the *full* persistent store
   (:func:`~repro.store.reader.attach_store`), so routing is a cache-
   locality decision, not a correctness one: communities crossing
   partition boundaries are answered exactly by whichever shard owns
   the anchor.
+* **Coalescing** — requests are buffered per (owning shard, ``k``). A
+  request goes to its shard at once when that shard has no batch in
+  flight; otherwise it waits, and when the shard's last batch returns
+  every buffered batch for it is sent, at most ``max_batch`` requests
+  each. A lone request never waits for a timer, and a busy shard's
+  queue drains in as few batches as ``max_batch`` allows.
+* **Pass-through answers** — a shard replies to a batch with a header
+  frame and the answers' encoded communities
+  (:mod:`repro.serve.protocol`); the frontend slices those bytes and
+  splices each slice into its client's response without decoding it.
+* **Admission control** — at most ``max_pending`` admitted requests may
+  be in the house (buffered or in flight); past that the frontend
+  answers immediately with a typed ``backpressure`` rejection instead
+  of queueing into a timeout.
 * **Supervision** — a shard that dies fails its in-flight requests
   with typed ``shard_unavailable`` errors and is respawned (up to
-  ``restart_limit``) before the next batch routed to it.
+  ``restart_limit``) before the next batch routed to it. A batch reply
+  whose header is malformed (:func:`~repro.serve.protocol.check_batch_header`)
+  fails that batch with a typed ``protocol`` error and disconnects the
+  shard the same way.
 
 Per-request observability goes through the PR 6 fixed-boundary
 histogram registry: ``repro.serve.frontend.latency_ms``,
@@ -82,9 +91,7 @@ class FrontendConfig:
     host: str = "127.0.0.1"
     #: 0 picks an ephemeral port (read it back from ``frontend.port``)
     port: int = 0
-    #: coalescing window: a buffered batch flushes after this long
-    window_ms: float = 2.0
-    #: a batch also flushes as soon as it holds this many requests
+    #: most requests one shard batch carries
     max_batch: int = 64
     #: admission limit: buffered + in-flight requests before rejection
     max_pending: int = 1024
@@ -140,7 +147,8 @@ class ShardHandle:
         self.ready: dict = {}
         self.restarts = 0
         self._seq = 0
-        self._pending: dict[int, asyncio.Future] = {}
+        #: request id -> (reply future, answers expected if a batch)
+        self._pending: dict[int, tuple[asyncio.Future, int | None]] = {}
         self._reader_task: asyncio.Task | None = None
         self._spawn_lock = asyncio.Lock()
         self._dead = True
@@ -193,27 +201,66 @@ class ShardHandle:
                 f"shard {self.rank} sent {frame.get('op')!r} instead of ready"
             )
         self.ready = frame
-        self._dead = False
-        self._reader_task = asyncio.create_task(self._read_loop(proc))
+        self._attach(proc)
 
-    async def _read_loop(self, proc: asyncio.subprocess.Process) -> None:
-        assert proc.stdout is not None
+    def _attach(self, proc: Any) -> None:
+        """Read ``proc``'s replies from here on (handshake already read)."""
+        self.proc = proc
+        self._dead = False
+        self._reader_task = asyncio.create_task(self._read_loop(proc.stdout))
+
+    async def _read_loop(self, stdout: asyncio.StreamReader) -> None:
+        """Resolve pending calls until EOF or a reply that breaks framing.
+
+        A plain reply resolves to its frame. A successful batch reply
+        resolves to the list of its answers' encoded communities: the
+        header's ``sizes`` are checked, then exactly ``sum(sizes)`` body
+        bytes are read and sliced. A reply to a call that already timed
+        out is still read in full, so the stream stays in step.
+        """
+        reason = "disconnected"
         while True:
-            line = await proc.stdout.readline()
+            line = await stdout.readline()
             if not line:
                 break
             try:
                 frame = protocol.decode_frame(line)
             except WireProtocolError:
                 continue  # a torn line during kill; the EOF path cleans up
-            fut = self._pending.pop(frame.get("id"), None)
+            rid = frame.get("id")
+            fut, expected = self._pending.pop(rid, (None, None))
+            result: Any = frame
+            if frame.get("ok") and (expected is not None or "sizes" in frame):
+                try:
+                    sizes = protocol.check_batch_header(frame, expected)
+                except WireProtocolError as exc:
+                    reason = f"sent a malformed batch reply ({exc})"
+                    if fut is not None and not fut.done():
+                        fut.set_exception(exc)
+                    break
+                try:
+                    body = await stdout.readexactly(sum(sizes))
+                except asyncio.IncompleteReadError:
+                    reason = "disconnected mid batch reply"
+                    if fut is not None:
+                        self._pending[rid] = (fut, expected)
+                    break
+                result, offset = [], 0
+                for size in sizes:
+                    result.append(body[offset:offset + size])
+                    offset += size
             if fut is not None and not fut.done():
-                fut.set_result(frame)
+                fut.set_result(result)
         self._dead = True
+        if self.proc is not None and self.proc.returncode is None:
+            try:
+                self.proc.kill()  # its stream is out of step; respawn later
+            except ProcessLookupError:  # pragma: no cover - raced exit
+                pass
         pending = list(self._pending.values())
         self._pending.clear()
-        message = f"shard {self.rank} (pid {proc.pid}) disconnected"
-        for fut in pending:
+        message = f"shard {self.rank} (pid {self.pid}) {reason}"
+        for fut, _ in pending:
             if not fut.done():
                 fut.set_exception(ShardUnavailableError(message))
 
@@ -247,6 +294,22 @@ class ShardHandle:
 
     async def call(self, frame: dict, timeout: float | None = None) -> dict:
         """One request/response round trip with the worker."""
+        return await self._request(frame, None, timeout)
+
+    async def batch(
+        self, k: int, vertices: list[int], timeout: float | None = None
+    ) -> list[bytes]:
+        """One ``batch`` round trip: each vertex's encoded communities."""
+        result = await self._request(
+            {"op": "batch", "k": k, "vertices": vertices}, len(vertices), timeout
+        )
+        if isinstance(result, dict):  # only error frames resolve to a dict
+            protocol.raise_for_error(result)
+        return result
+
+    async def _request(
+        self, frame: dict, expected: int | None, timeout: float | None
+    ) -> Any:
         if not self.alive:
             raise ShardUnavailableError(f"shard {self.rank} is not running")
         proc = self.proc
@@ -256,7 +319,7 @@ class ShardHandle:
         payload = dict(frame)
         payload["id"] = rid
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[rid] = fut
+        self._pending[rid] = (fut, expected)
         try:
             proc.stdin.write(protocol.encode_frame(payload))
             await proc.stdin.drain()
@@ -300,8 +363,12 @@ class ServingFrontend:
         self.port: int | None = None
         self.started = False
         self._server: asyncio.base_events.Server | None = None
-        self._buffers: dict[int, list[tuple[int, asyncio.Future]]] = {}
-        self._timers: dict[int, asyncio.TimerHandle] = {}
+        #: per shard: k -> requests waiting for that shard to go idle
+        self._buffers: list[dict[int, list[tuple[int, asyncio.Future]]]] = [
+            {} for _ in self.shards
+        ]
+        #: per shard: batches sent and not yet answered
+        self._in_flight = [0] * config.num_shards
         self._batch_tasks: set[asyncio.Task] = set()
         self._admitted = 0
 
@@ -335,15 +402,13 @@ class ServingFrontend:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        for items in self._buffers.values():
-            for _, fut in items:
-                if not fut.done():
-                    fut.set_exception(ServeError("frontend stopping"))
-            self._admitted -= len(items)
-        self._buffers.clear()
+        for buffers in self._buffers:
+            for items in buffers.values():
+                for _, fut in items:
+                    if not fut.done():
+                        fut.set_exception(ServeError("frontend stopping"))
+                self._admitted -= len(items)
+            buffers.clear()
         if self._batch_tasks:
             await asyncio.gather(*self._batch_tasks, return_exceptions=True)
         for shard in self.shards:
@@ -380,13 +445,13 @@ class ServingFrontend:
                 pass
 
     async def _write(
-        self, writer: asyncio.StreamWriter, wlock: asyncio.Lock, obj: dict
+        self, writer: asyncio.StreamWriter, wlock: asyncio.Lock, frame: bytes
     ) -> None:
         async with wlock:
             if writer.is_closing():
                 return
             try:
-                writer.write(protocol.encode_frame(obj))
+                writer.write(frame)
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass  # client went away; nothing to deliver to
@@ -397,11 +462,15 @@ class ServingFrontend:
         try:
             obj = protocol.decode_frame(line)
         except WireProtocolError as exc:
-            await self._write(writer, wlock, protocol.exception_response(None, exc))
+            await self._write(
+                writer, wlock,
+                protocol.encode_frame(protocol.exception_response(None, exc)),
+            )
             return
         req_id = obj.get("id")
         op = obj.get("op", "query")
         t0 = time.perf_counter()
+        resp: dict | bytes
         try:
             if op == "query":
                 resp = await self._op_query(req_id, obj)
@@ -426,12 +495,14 @@ class ServingFrontend:
                 (time.perf_counter() - t0) * 1000.0,
                 boundaries=DEFAULT_MS_BOUNDARIES,
             )
+        if isinstance(resp, dict):
+            resp = protocol.encode_frame(resp)
         await self._write(writer, wlock, resp)
 
     # ------------------------------------------------------------------
     # Ops
     # ------------------------------------------------------------------
-    async def _op_query(self, req_id: Any, obj: dict) -> dict:
+    async def _op_query(self, req_id: Any, obj: dict) -> bytes:
         vertex, k = protocol.check_query_fields(obj)
         if not 0 <= vertex < self.num_vertices:
             raise InvalidParameterError(
@@ -442,9 +513,7 @@ class ServingFrontend:
                 f"k must be >= 3 for k-truss communities, got {k}"
             )
         communities = await self._submit(vertex, k)
-        return protocol.ok_response(
-            req_id, vertex=vertex, k=k, communities=communities
-        )
+        return protocol.query_response_frame(req_id, vertex, k, communities)
 
     async def _op_refresh(self, req_id: Any) -> dict:
         reports = []
@@ -495,7 +564,6 @@ class ServingFrontend:
             ),
             "admitted": self._admitted,
             "max_pending": self.config.max_pending,
-            "window_ms": self.config.window_ms,
             "max_batch": self.config.max_batch,
         }
         return protocol.ok_response(req_id, frontend=frontend, shards=shard_stats)
@@ -526,8 +594,8 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     # Coalescing + routing
     # ------------------------------------------------------------------
-    async def _submit(self, vertex: int, k: int):
-        """Admit one query into the per-``k`` coalescing buffer."""
+    async def _submit(self, vertex: int, k: int) -> bytes:
+        """Admit one query; its owning shard's encoded answer."""
         if self._admitted >= self.config.max_pending:
             metrics.inc("repro.serve.frontend.rejected")
             raise BackpressureError(
@@ -540,86 +608,58 @@ class ServingFrontend:
             boundaries=COUNT_BOUNDARIES,
         )
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        buf = self._buffers.setdefault(k, [])
-        buf.append((vertex, fut))
-        if len(buf) >= self.config.max_batch:
-            self._flush(k)
-        elif len(buf) == 1:
-            self._timers[k] = asyncio.get_running_loop().call_later(
-                self.config.window_ms / 1000.0, self._flush, k
-            )
+        rank = self._owner(vertex)
+        self._buffers[rank].setdefault(k, []).append((vertex, fut))
+        if not self._in_flight[rank]:
+            self._send(rank)
         return await fut
 
-    def _flush(self, k: int) -> None:
-        timer = self._timers.pop(k, None)
-        if timer is not None:
-            timer.cancel()
-        items = self._buffers.pop(k, [])
-        if not items:
-            return
-        task = asyncio.get_running_loop().create_task(self._run_batch(k, items))
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
+    def _send(self, rank: int) -> None:
+        """Send every buffered batch of shard ``rank``."""
+        buffers, self._buffers[rank] = self._buffers[rank], {}
+        step = self.config.max_batch
+        loop = asyncio.get_running_loop()
+        for k, items in buffers.items():
+            for lo in range(0, len(items), step):
+                self._in_flight[rank] += 1
+                task = loop.create_task(
+                    self._run_batch(rank, k, items[lo:lo + step])
+                )
+                self._batch_tasks.add(task)
+                task.add_done_callback(self._batch_tasks.discard)
 
     async def _run_batch(
-        self, k: int, items: list[tuple[int, asyncio.Future]]
+        self, rank: int, k: int, items: list[tuple[int, asyncio.Future]]
     ) -> None:
         metrics.observe(
             "repro.serve.frontend.coalesce_batch_size", float(len(items)),
             boundaries=COUNT_BOUNDARIES,
         )
-        by_shard: dict[int, list[tuple[int, asyncio.Future]]] = {}
-        for vertex, fut in items:
-            by_shard.setdefault(self._owner(vertex), []).append((vertex, fut))
-        try:
-            await asyncio.gather(
-                *(
-                    self._shard_batch(rank, k, sub)
-                    for rank, sub in by_shard.items()
-                )
-            )
-        finally:
-            self._admitted -= len(items)
-
-    async def _shard_batch(
-        self, rank: int, k: int, sub: list[tuple[int, asyncio.Future]]
-    ) -> None:
         shard = self.shards[rank]
-        vertices = [v for v, _ in sub]
         t0 = time.perf_counter()
         try:
             await shard.ensure_alive()
-            resp = protocol.raise_for_error(
-                await shard.call(
-                    {"op": "batch", "k": k, "vertices": vertices},
-                    self.config.call_timeout_s,
-                )
+            answers = await shard.batch(
+                k, [v for v, _ in items], self.config.call_timeout_s
             )
+            metrics.observe(
+                "repro.serve.frontend.shard_ms",
+                (time.perf_counter() - t0) * 1000.0,
+                boundaries=DEFAULT_MS_BOUNDARIES,
+            )
+            for (_, fut), answer in zip(items, answers):
+                if not fut.done():
+                    fut.set_result(answer)
         except ShardUnavailableError as exc:
             metrics.inc("repro.serve.frontend.shard_failures")
-            self._fail_sub(sub, ShardUnavailableError(str(exc)))
-            return
+            self._fail_sub(items, ShardUnavailableError(str(exc)))
         except ReproError as exc:
-            self._fail_sub(sub, exc)
-            return
-        metrics.observe(
-            "repro.serve.frontend.shard_ms",
-            (time.perf_counter() - t0) * 1000.0,
-            boundaries=DEFAULT_MS_BOUNDARIES,
-        )
-        results = resp.get("results")
-        if not isinstance(results, list) or len(results) != len(sub):
-            self._fail_sub(
-                sub,
-                WireProtocolError(
-                    f"shard {rank} answered {len(sub)} requests with a "
-                    f"malformed results list"
-                ),
-            )
-            return
-        for (_, fut), communities in zip(sub, results):
-            if not fut.done():
-                fut.set_result(communities)
+            self._fail_sub(items, exc)
+        finally:
+            self._admitted -= len(items)
+            self._in_flight[rank] -= 1
+            if not self._in_flight[rank] and self._buffers[rank]:
+                self._send(rank)  # the shard went idle: drain its queue
 
     @staticmethod
     def _fail_sub(sub: list[tuple[int, asyncio.Future]], exc: Exception) -> None:

@@ -5,6 +5,17 @@ same frame shape is spoken on both hops — client ↔ frontend over TCP
 and frontend ↔ shard worker over the worker's stdin/stdout pipes — so
 one encoder/decoder serves every endpoint.
 
+One reply carries a body after its frame: a shard's answer to a
+``batch`` request is the header frame
+``{"id": ..., "ok": true, "sizes": [n1, ...], "generation": ...,
+"elapsed_ms": ..., "encode_ms": ...}`` followed by exactly
+``sum(sizes)`` bytes, the concatenation of each answer's compact-JSON
+communities list (:func:`encode_communities`), in request order. The
+frontend slices that body by ``sizes`` and splices each slice into the
+client's ``query`` response (:func:`query_response_frame`) without
+decoding it, so every answer is JSON-encoded once, in the shard.
+:func:`check_batch_header` bounds what a header may announce.
+
 Requests carry an ``op`` plus an ``id`` the peer echoes back verbatim;
 responses are either ``{"id": ..., "ok": true, ...}`` or
 ``{"id": ..., "ok": false, "error": {"type": ..., "message": ...}}``.
@@ -110,9 +121,13 @@ def error_type_of(exc: Exception) -> str:
 # -- framing -----------------------------------------------------------
 
 
+def _dumps(obj: Any) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
 def encode_frame(obj: dict) -> bytes:
     """One protocol frame: compact JSON + newline."""
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _dumps(obj) + b"\n"
 
 
 def decode_frame(line: bytes | str) -> dict:
@@ -174,6 +189,51 @@ def serialize_communities(communities) -> list[dict]:
     return [
         {"k": int(c.k), "edge_ids": c.edge_ids.tolist()} for c in communities
     ]
+
+
+def encode_communities(communities) -> bytes:
+    """Engine results → the compact JSON of :func:`serialize_communities`."""
+    return _dumps(serialize_communities(communities))
+
+
+def query_response_frame(
+    req_id: Any, vertex: int, k: int, communities: bytes
+) -> bytes:
+    """A ``query`` success frame around already-encoded ``communities``.
+
+    Byte-identical to ``encode_frame(ok_response(req_id, vertex=vertex,
+    k=k, communities=...))`` when ``communities`` came from
+    :func:`encode_communities`.
+    """
+    return b"".join((
+        b'{"id":', _dumps(req_id),
+        b',"ok":true,"vertex":%d,"k":%d,"communities":' % (vertex, k),
+        communities, b"}\n",
+    ))
+
+
+def check_batch_header(frame: dict, expected: int | None) -> list[int]:
+    """The ``sizes`` of a batch reply header; :class:`WireProtocolError`
+    when they are not non-negative ints, do not number ``expected``
+    answers (``None`` skips that check), or announce a body larger than
+    :data:`MAX_FRAME_BYTES`."""
+    sizes = frame.get("sizes")
+    if not isinstance(sizes, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0
+        for n in sizes
+    ):
+        raise WireProtocolError(
+            "batch reply 'sizes' must be a list of non-negative integers"
+        )
+    if expected is not None and len(sizes) != expected:
+        raise WireProtocolError(
+            f"batch reply has {len(sizes)} sizes for {expected} requests"
+        )
+    if sum(sizes) > MAX_FRAME_BYTES:
+        raise WireProtocolError(
+            f"batch reply body exceeds {MAX_FRAME_BYTES} bytes"
+        )
+    return sizes
 
 
 def check_query_fields(obj: dict) -> tuple[int, int]:

@@ -5,7 +5,9 @@ The worker :func:`~repro.store.reader.attach_store`\\ s the persistent
 index read-only (milliseconds, zero-copy — N workers share one page
 cache copy), builds a :class:`~repro.serve.engine.QueryEngine` over it,
 and answers newline-delimited JSON batches on stdin/stdout (see
-:mod:`repro.serve.protocol`). The frontend owns the routing: this
+:mod:`repro.serve.protocol`). A ``batch`` reply is a header frame
+followed by the answers' encoded communities, which the frontend passes
+through to its clients undecoded. The frontend owns the routing: this
 worker *serves* the vertex partition ``rank`` of
 :class:`~repro.distributed.partition.VertexOwnership` but can answer
 any vertex of the graph — every shard maps the full index, so
@@ -40,6 +42,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     check_query_fields,
     decode_frame,
+    encode_communities,
     encode_frame,
     exception_response,
     ok_response,
@@ -104,8 +107,8 @@ class ShardWorker:
         ):
             self.store.refresh(variant=self.variant)
 
-    def handle(self, obj: dict) -> dict:
-        """One request frame → one response frame (never raises)."""
+    def handle(self, obj: dict) -> bytes:
+        """One request frame → its encoded reply (never raises)."""
         req_id = obj.get("id")
         try:
             op = obj.get("op")
@@ -115,28 +118,30 @@ class ShardWorker:
                 vertex, k = check_query_fields(obj)
                 self._maybe_refresh()
                 communities = self.engine.query(vertex, k, record=False)
-                return ok_response(
+                resp = ok_response(
                     req_id, communities=serialize_communities(communities)
                 )
-            if op == "refresh":
+            elif op == "refresh":
                 report = self.store.refresh(variant=self.variant)
-                return ok_response(
+                resp = ok_response(
                     req_id,
                     applied=report.applied,
                     swapped=report.swapped,
                     generation=report.generation,
                 )
-            if op == "metrics":
-                return ok_response(req_id, state=metrics.get_registry().dump_state())
-            if op == "stats":
-                return ok_response(req_id, stats=self.stats())
-            if op == "ping":
-                return ok_response(req_id, pong=True, rank=self.rank)
-            raise WireProtocolError(f"unknown shard op {op!r}")
+            elif op == "metrics":
+                resp = ok_response(req_id, state=metrics.get_registry().dump_state())
+            elif op == "stats":
+                resp = ok_response(req_id, stats=self.stats())
+            elif op == "ping":
+                resp = ok_response(req_id, pong=True, rank=self.rank)
+            else:
+                raise WireProtocolError(f"unknown shard op {op!r}")
         except ReproError as exc:
-            return exception_response(req_id, exc)
+            resp = exception_response(req_id, exc)
+        return encode_frame(resp)
 
-    def _op_batch(self, req_id: Any, obj: dict) -> dict:
+    def _op_batch(self, req_id: Any, obj: dict) -> bytes:
         k = obj.get("k")
         vertices = obj.get("vertices")
         if not isinstance(k, int) or not isinstance(vertices, list):
@@ -146,7 +151,10 @@ class ShardWorker:
         self._maybe_refresh()
         t0 = time.perf_counter()
         answers = self.engine.query_many(vertices, k, record=False)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        t1 = time.perf_counter()
+        parts = [encode_communities(ans) for ans in answers]
+        encode_ms = (time.perf_counter() - t1) * 1000.0
+        elapsed_ms = (t1 - t0) * 1000.0
         self.batches += 1
         metrics.inc("repro.serve.shard.batches")
         metrics.inc("repro.serve.shard.requests", len(vertices))
@@ -154,12 +162,18 @@ class ShardWorker:
             "repro.serve.shard.batch_ms", elapsed_ms,
             boundaries=DEFAULT_MS_BOUNDARIES,
         )
-        return ok_response(
+        metrics.observe(
+            "repro.serve.shard.encode_ms", encode_ms,
+            boundaries=DEFAULT_MS_BOUNDARIES,
+        )
+        header = ok_response(
             req_id,
-            results=[serialize_communities(ans) for ans in answers],
+            sizes=[len(part) for part in parts],
             generation=int(self.store.generation),
             elapsed_ms=elapsed_ms,
+            encode_ms=encode_ms,
         )
+        return b"".join([encode_frame(header), *parts])
 
     def stats(self) -> dict:
         lo, hi = self.ownership.owned_range(self.rank)
@@ -190,7 +204,7 @@ class ShardWorker:
                 out.write(encode_frame(ok_response(obj.get("id"), stopping=True)))
                 out.flush()
                 break
-            out.write(encode_frame(self.handle(obj)))
+            out.write(self.handle(obj))
             out.flush()
         self.close()
         return 0

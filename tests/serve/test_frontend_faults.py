@@ -5,10 +5,10 @@ errors rather than hangs or timeouts:
 
 * **shard crash mid-stream** — SIGKILL a shard worker while its batch
   is pinned in flight (the shard's ``--delay-ms`` knob makes this
-  deterministic): every in-flight request routed to it fails with
-  ``shard_unavailable``, requests routed to the surviving shard answer
-  normally, and the next query to the dead partition transparently
-  respawns the worker and succeeds;
+  deterministic): every request in that batch fails with
+  ``shard_unavailable``; the requests queued behind it are sent only
+  after that failure, so they transparently respawn the worker and
+  answer correctly, as do the requests routed to the surviving shard;
 * **restart exhaustion** — with ``restart_limit=0`` a crashed shard is
   never respawned and keeps failing typed, immediately;
 * **overload** — with a tiny admission limit, a burst gets
@@ -39,7 +39,7 @@ def test_sigkill_mid_stream_typed_errors_then_respawn(served_store):
     graph, index, store_path = served_store("er")
     engine = QueryEngine(index, cache_size=0)
     config = FrontendConfig(
-        store_path=store_path, num_shards=2, window_ms=2.0,
+        store_path=store_path, num_shards=2,
         call_timeout_s=60.0,
         shard_args=("--delay-ms", "400"),  # pin batches in flight
     )
@@ -56,25 +56,30 @@ def test_sigkill_mid_stream_typed_errors_then_respawn(served_store):
                 client.send("query", vertex=v, k=3)
                 for v in victims + survivors
             ]
-            time.sleep(0.15)  # batch flushed (2 ms window), shards sleeping
+            # each idle shard got its first request as a batch of one and
+            # is sleeping on it; every later request waits in the buffer
+            time.sleep(0.15)
             os.kill(victim_pid, signal.SIGKILL)
             responses = client.collect(ids)
 
-            for rid, vertex in zip(ids[: len(victims)], victims):
+            def expect(vertex):
+                return serialize_communities(engine.query(vertex, 3, record=False))
+
+            pinned = responses[ids[0]]
+            assert not pinned["ok"], (victims[0], pinned)
+            assert pinned["error"]["type"] == "shard_unavailable", pinned
+            # queued behind the killed batch: answered by the respawned shard
+            for rid, vertex in zip(ids[1:len(victims)], victims[1:]):
                 resp = responses[rid]
-                assert not resp["ok"], (vertex, resp)
-                assert resp["error"]["type"] == "shard_unavailable", resp
+                assert resp["ok"], (vertex, resp)
+                assert resp["communities"] == expect(vertex)
             for rid, vertex in zip(ids[len(victims):], survivors):
                 resp = responses[rid]
                 assert resp["ok"], (vertex, resp)
-                assert resp["communities"] == serialize_communities(
-                    engine.query(vertex, 3, record=False)
-                )
+                assert resp["communities"] == expect(vertex)
 
-            # next query to the dead partition respawns and succeeds
-            assert client.query(victims[0], 3) == serialize_communities(
-                engine.query(victims[0], 3, record=False)
-            )
+            # the respawned worker keeps serving the dead partition
+            assert client.query(victims[0], 3) == expect(victims[0])
             stats = client.stats()
             by_rank = {e["rank"]: e for e in stats["shards"]}
             assert by_rank[0]["restarts"] >= 1
@@ -105,7 +110,7 @@ def test_overload_yields_backpressure_not_timeouts(served_store):
     engine = QueryEngine(index, cache_size=0)
     burst = 40
     config = FrontendConfig(
-        store_path=store_path, num_shards=2, window_ms=100.0,
+        store_path=store_path, num_shards=2,
         max_batch=1024, max_pending=4,
     )
     with FrontendThread(config) as server:
@@ -128,5 +133,5 @@ def test_overload_yields_backpressure_not_timeouts(served_store):
             engine.query(resp["vertex"], 3, record=False)
         )
     # rejections are immediate answers, not queue-then-timeout: the
-    # whole burst (including one 100 ms coalescing window) is bounded
+    # whole burst is bounded
     assert elapsed < 10.0
