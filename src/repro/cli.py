@@ -718,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve a batch: one 'vertex [k]' request per line "
                         "(k falls back to --k)")
     q.add_argument("--warm-cache", action="store_true",
-                   help="components engine: materialize every community "
-                        "up front before serving")
+                   help="components engine: materialize communities up "
+                        "front, until the memo budget is full, before serving")
     q.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write the per-request span trace as JSONL")
     add_context_flags(q)

@@ -12,7 +12,9 @@ instead of a per-query BFS:
    each distinct label is one community (no traversal).
 3. *Materialize* the community's edges once per ``(level, component)``
    and memoize; repeat queries into the same community share the
-   array.
+   (read-only) array, and a shard encodes its compact-JSON id list once
+   (:meth:`QueryEngine.encoded_edge_ids`). Arrays and bytes share one
+   LRU byte budget, :data:`MEMO_BUDGET_BYTES`.
 
 On top sit a per-``(vertex, k)`` LRU result cache and a vectorized
 batch path (:meth:`QueryEngine.query_many`) that resolves the anchors
@@ -22,7 +24,7 @@ of a whole request batch with one CSR gather.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 
 import numpy as np
 
@@ -35,6 +37,27 @@ from repro.obs.trace import Span
 from repro.parallel.context import ExecutionContext
 from repro.serve.cache import QueryCache
 from repro.serve.components import LevelComponents
+from repro.serve.protocol import encode_edge_ids
+
+#: Byte budget of the ``(level, component)`` memo: every entry's edge-id
+#: array plus, once encoded, its id bytes. Least-recently-used entries
+#: are evicted to stay within it.
+MEMO_BUDGET_BYTES = 64 * 1024 * 1024
+
+
+class _MemoEntry:
+    """One memoized community: its edge ids and, once encoded, their bytes."""
+
+    __slots__ = ("key", "edge_ids", "encoded")
+
+    def __init__(self, key: tuple[int, int], edge_ids: np.ndarray) -> None:
+        self.key = key
+        self.edge_ids = edge_ids
+        self.encoded: bytes | None = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.edge_ids.nbytes + (len(self.encoded) if self.encoded else 0)
 
 
 class QueryEngine:
@@ -55,6 +78,7 @@ class QueryEngine:
     ) -> None:
         self.ctx = ExecutionContext.ensure(ctx)
         self.cache = QueryCache(cache_size)
+        self._memo_evictions = 0
         self._bind(index, components)
 
     def _bind(
@@ -69,9 +93,14 @@ class QueryEngine:
             if components is not None
             else LevelComponents(index, ctx=self.ctx)
         )
-        # (level, component label) -> sorted member edge ids, shared by
-        # every query that lands in the community
-        self._materialized: dict[tuple[int, int], np.ndarray] = {}
+        # (level, component label) -> sorted member edge ids (and their
+        # encoded bytes), shared by every query that lands in the
+        # community; LRU order, bounded by MEMO_BUDGET_BYTES
+        self._materialized: OrderedDict[tuple[int, int], _MemoEntry] = OrderedDict()
+        # id(edge_ids) -> its entry, for the encode path's lookup
+        self._by_array: dict[int, _MemoEntry] = {}
+        self._memo_bytes = 0
+        self._account(0)
 
     # ------------------------------------------------------------------
     # Cache lifecycle
@@ -248,9 +277,16 @@ class QueryEngine:
     def _community_edges(self, level: int, root: int) -> np.ndarray:
         """Sorted member edge ids of one (level, component) — memoized."""
         key = (level, root)
-        cached = self._materialized.get(key)
-        if cached is not None:
-            return cached
+        entry = self._materialized.get(key)
+        if entry is not None:
+            self._materialized.move_to_end(key)
+            return entry.edge_ids
+        edge_ids = self._materialize(level, root)
+        if self._make_room(edge_ids.nbytes):
+            self._remember(key, edge_ids)
+        return edge_ids
+
+    def _materialize(self, level: int, root: int) -> np.ndarray:
         comp = self.components.labels(level)
         members = np.flatnonzero(
             (comp == root) & (self.index.supernode_trussness >= level)
@@ -263,20 +299,77 @@ class QueryEngine:
         edge_ids = np.sort(
             self.index.supernode_edges[np.repeat(indptr[members], counts) + local]
         )
-        self._materialized[key] = edge_ids
+        # every answer into the community shares this array (and, once
+        # encoded, its bytes): no caller may write to it
+        edge_ids.flags.writeable = False
         return edge_ids
 
+    def _remember(self, key: tuple[int, int], edge_ids: np.ndarray) -> None:
+        entry = _MemoEntry(key, edge_ids)
+        self._materialized[key] = entry
+        self._by_array[id(edge_ids)] = entry
+        self._account(edge_ids.nbytes)
+
+    def _account(self, delta: int) -> None:
+        self._memo_bytes += delta
+        metrics.set_gauge("repro.serve.engine.memo_bytes", self._memo_bytes)
+
+    def _make_room(self, cost: int, keep: _MemoEntry | None = None) -> bool:
+        """Evict least-recently-used entries until ``cost`` more bytes fit
+        in the budget; False (evicting nothing) when they cannot fit even
+        beside ``keep`` alone, which must be the most recent entry."""
+        floor = keep.nbytes if keep is not None else 0
+        if floor + cost > MEMO_BUDGET_BYTES:
+            return False
+        while self._memo_bytes + cost > MEMO_BUDGET_BYTES:
+            _, old = self._materialized.popitem(last=False)
+            del self._by_array[id(old.edge_ids)]
+            self._account(-old.nbytes)
+            self._memo_evictions += 1
+            metrics.inc("repro.serve.engine.memo_evictions")
+        return True
+
+    def encoded_edge_ids(self, edge_ids: np.ndarray) -> bytes:
+        """``protocol.encode_edge_ids(edge_ids)``, computed once per
+        memoized community.
+
+        ``edge_ids`` is a ``Community.edge_ids`` this engine returned; it
+        is found in the memo by identity. An array whose entry was evicted
+        (a result-cache hit can outlive it) is encoded afresh.
+        """
+        entry = self._by_array.get(id(edge_ids))
+        if entry is None or entry.edge_ids is not edge_ids:
+            return encode_edge_ids(edge_ids)
+        self._materialized.move_to_end(entry.key)
+        if entry.encoded is None:
+            encoded = encode_edge_ids(edge_ids)
+            if not self._make_room(len(encoded), keep=entry):
+                return encoded
+            entry.encoded = encoded
+            self._account(len(encoded))
+        return entry.encoded
+
     def warm(self) -> int:
-        """Materialize every community at every level; returns how many."""
+        """Materialize communities, level by level, until the next one
+        would not fit the memo budget; returns how many the memo holds."""
         before = len(self._materialized)
         sn_k = self.index.supernode_trussness
-        for level in self.components.levels.tolist():
-            comp = self.components.labels(level)
-            for root in np.unique(comp[sn_k >= level]).tolist():
-                self._community_edges(level, int(root))
-        warmed = len(self._materialized) - before
-        metrics.inc("repro.serve.warmed_communities", warmed)
-        return warmed
+        keys = (
+            (level, root)
+            for level in self.components.levels.tolist()
+            for root in np.unique(
+                self.components.labels(level)[sn_k >= level]
+            ).tolist()
+        )
+        for key in keys:
+            if key in self._materialized:
+                continue
+            edge_ids = self._materialize(*key)
+            if self._memo_bytes + edge_ids.nbytes > MEMO_BUDGET_BYTES:
+                break
+            self._remember(key, edge_ids)
+        metrics.inc("repro.serve.warmed_communities", len(self._materialized) - before)
+        return len(self._materialized)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -290,6 +383,8 @@ class QueryEngine:
         return {
             "levels": int(self.components.levels.size),
             "materialized_communities": len(self._materialized),
+            "memo_bytes": self._memo_bytes,
+            "memo_evictions": self._memo_evictions,
             "cache_entries": len(self.cache),
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,

@@ -70,12 +70,11 @@ FRONTEND_OPS: tuple[str, ...] = (
     "refresh",
 )
 
-#: Ops a shard worker accepts on stdin (the frontend-facing superset:
-#: ``batch`` is the coalesced form of ``query``; ``shutdown`` ends the
-#: serve loop).
+#: Ops a shard worker accepts on stdin (``batch`` answers the client
+#: ``query`` op, coalesced per shard and k; ``shutdown`` ends the serve
+#: loop).
 SHARD_OPS: tuple[str, ...] = (
     "batch",
-    "query",
     "refresh",
     "metrics",
     "stats",
@@ -191,9 +190,23 @@ def serialize_communities(communities) -> list[dict]:
     ]
 
 
-def encode_communities(communities) -> bytes:
-    """Engine results → the compact JSON of :func:`serialize_communities`."""
-    return _dumps(serialize_communities(communities))
+def encode_edge_ids(edge_ids) -> bytes:
+    """One community's sorted edge ids → their compact JSON list."""
+    return _dumps(edge_ids.tolist())
+
+
+def encode_communities(communities, engine=None) -> bytes:
+    """Engine results → the compact JSON of :func:`serialize_communities`.
+
+    With ``engine`` (the :class:`~repro.serve.engine.QueryEngine` that
+    answered), each community's id list comes from the engine's memo,
+    encoded once per index generation; only the ``{"k":…}`` wrapper of
+    the query's own ``k`` is built per answer.
+    """
+    ids = encode_edge_ids if engine is None else engine.encoded_edge_ids
+    return b"[%b]" % b",".join(
+        b'{"k":%d,"edge_ids":%b}' % (c.k, ids(c.edge_ids)) for c in communities
+    )
 
 
 def query_response_frame(

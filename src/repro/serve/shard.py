@@ -40,13 +40,11 @@ from repro.obs import metrics
 from repro.obs.histogram import DEFAULT_MS_BOUNDARIES
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
-    check_query_fields,
     decode_frame,
     encode_communities,
     encode_frame,
     exception_response,
     ok_response,
-    serialize_communities,
 )
 
 
@@ -114,14 +112,7 @@ class ShardWorker:
             op = obj.get("op")
             if op == "batch":
                 return self._op_batch(req_id, obj)
-            if op == "query":
-                vertex, k = check_query_fields(obj)
-                self._maybe_refresh()
-                communities = self.engine.query(vertex, k, record=False)
-                resp = ok_response(
-                    req_id, communities=serialize_communities(communities)
-                )
-            elif op == "refresh":
+            if op == "refresh":
                 report = self.store.refresh(variant=self.variant)
                 resp = ok_response(
                     req_id,
@@ -152,7 +143,7 @@ class ShardWorker:
         t0 = time.perf_counter()
         answers = self.engine.query_many(vertices, k, record=False)
         t1 = time.perf_counter()
-        parts = [encode_communities(ans) for ans in answers]
+        parts = [encode_communities(ans, self.engine) for ans in answers]
         encode_ms = (time.perf_counter() - t1) * 1000.0
         elapsed_ms = (t1 - t0) * 1000.0
         self.batches += 1
