@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.parallel.context import ExecutionContext
+from repro.utils.sorting import stable_order
 
 
 def _ensure(ctx) -> ExecutionContext:
@@ -136,13 +137,16 @@ def pairs_to_csr(num_nodes: int, a: np.ndarray, b: np.ndarray, index_dtype=None)
     Used to give the derived (edge-induced) graphs the neighbor-list
     shape Afforest's sampling needs. Returns ``(indptr, neighbors)``;
     ``index_dtype`` narrows both arrays (it must fit ``2 · |pairs|``).
+    The 2·|pairs| directed entries are grouped by source node with
+    :func:`~repro.utils.sorting.stable_order`, so each node's neighbors
+    keep the order in which the node appears in ``a`` then ``b``.
     """
     if a.shape != b.shape:
         raise InvalidParameterError("pair arrays must have equal shape")
     dt = np.dtype(index_dtype) if index_dtype is not None else np.dtype(np.int64)
     src = np.concatenate([a, b])
     dst = np.concatenate([b, a]).astype(dt, copy=False)
-    order = np.argsort(src, kind="stable")
+    order = stable_order(src, num_nodes)
     src, dst = src[order], dst[order]
     counts = np.bincount(src, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=dt)

@@ -18,6 +18,7 @@ import numpy as np
 from repro.errors import IndexIntegrityError, InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
+from repro.utils.sorting import unique_sorted
 
 
 def _as_int64(arr: np.ndarray) -> np.ndarray:
@@ -132,7 +133,7 @@ class EquiTrussIndex:
             pos_b = rank[np.searchsorted(uniq_roots, raw[:, 1])]
             lo = np.minimum(pos_a, pos_b)
             hi = np.maximum(pos_a, pos_b)
-            keys = np.unique(lo * np.int64(uniq_roots.size) + hi)
+            keys = unique_sorted(lo * np.int64(uniq_roots.size) + hi)
             superedges = np.stack(
                 [keys // uniq_roots.size, keys % uniq_roots.size], axis=1
             )

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.triangles.enumerate import TriangleSet
+from repro.utils.sorting import stable_order
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,14 @@ def build_level_structures(
 ) -> LevelStructures:
     """Sort and group the raw tables by level (the C-Optimal layout).
 
+    Hook pairs are grouped by ``hook_k`` and superedge candidates by
+    ``se_k`` with :func:`~repro.utils.sorting.stable_order`: the keys
+    are trussness values, so below kmax = 2¹⁶ both group-bys are radix
+    sorts of 8- or 16-bit keys; either way they keep the raw table
+    order within a level. ``levels`` is read off one table of kmax + 1
+    flags: the populated trussness values ≥ 3 and every hook or
+    candidate level.
+
     ``with_adjacency=True`` additionally materializes the edge-graph CSR
     for Afforest's neighbor sampling. With a ``ctx`` whose dtype policy
     narrows, the edge-id columns (the dominant tables) are stored in the
@@ -196,11 +205,15 @@ def build_level_structures(
     are tiny either way and compare against Python ints).
     """
     ha, hb, hk, slo, shi, sk, _ = _triangle_columns(triangles, trussness)
-    h_order = np.argsort(hk, kind="stable")
+    present = np.bincount(trussness, minlength=3) > 0
+    present[:3] = False
+    present[hk] = True
+    present[sk] = True
+    levels = np.flatnonzero(present)
+    h_order = stable_order(hk, present.size)
     ha, hb, hk = ha[h_order], hb[h_order], hk[h_order]
-    s_order = np.argsort(sk, kind="stable")
+    s_order = stable_order(sk, present.size)
     slo, shi, sk = slo[s_order], shi[s_order], sk[s_order]
-    levels = np.unique(np.concatenate([hk, sk, _populated_levels(trussness)]))
     if ctx is not None:
         from repro.parallel.context import ExecutionContext
 
@@ -235,7 +248,3 @@ def build_level_structures(
         adj_neighbors=adj_neighbors,
     )
 
-
-def _populated_levels(trussness: np.ndarray) -> np.ndarray:
-    ks = np.unique(trussness)
-    return ks[ks >= 3]

@@ -25,6 +25,7 @@ import numpy as np
 from repro.obs import metrics
 from repro.parallel.context import ExecutionContext
 from repro.parallel.partition import block_ranges
+from repro.utils.sorting import unique_sorted
 from repro.utils.validation import check_positive
 
 
@@ -43,7 +44,7 @@ def _w_superedge_chunk(comp_h, lo_h, hi_h, lo: int, hi: int, span: int):
     a = comp[attach(lo_h)[lo:hi]]
     b = comp[attach(hi_h)[lo:hi]]
     keys = np.minimum(a, b).astype(np.int64) * span + np.maximum(a, b)
-    local = np.unique(keys)  # the thread-local set
+    local = unique_sorted(keys)  # the thread-local set
     # worker-attributed partial: summed across tasks this equals the
     # serial path's se_lo.size exactly
     metrics.inc("repro.equitruss.superedge_candidates", hi - lo)
@@ -112,7 +113,7 @@ def generate_superedges(
     keys = lo_id.astype(np.int64) * span + hi_id
     for tid, (lo, hi) in enumerate(block_ranges(keys.size, num_workers)):
         if hi > lo:
-            local = np.unique(keys[lo:hi])  # the thread-local set
+            local = unique_sorted(keys[lo:hi])  # the thread-local set
             worker_subsets[tid].append(
                 np.stack([local // span, local % span], axis=1)
             )
@@ -149,7 +150,7 @@ def merge_supergraph(
     for t in range(num_workers):
         part = keys[dest == t]
         if part.size:
-            merged_parts.append(np.unique(part))
+            merged_parts.append(unique_sorted(part))
     if not merged_parts:
         return np.empty((0, 2), dtype=np.int64)
     final_keys = np.sort(np.concatenate(merged_parts))

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.graph.edgelist import EdgeList
+from repro.utils.sorting import unique_sorted
 
 
 def build_edgelist(
@@ -39,7 +40,7 @@ def build_edgelist(
     lo = np.minimum(src[keep], dst[keep])
     hi = np.maximum(src[keep], dst[keep])
     key = lo * np.int64(num_vertices) + hi
-    key = np.unique(key)
+    key = unique_sorted(key)
     u = key // num_vertices if num_vertices else key
     v = key % num_vertices if num_vertices else key
     return EdgeList(u, v, num_vertices)

@@ -26,6 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import GraphFormatError
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.obs.trace import TRACE_SCHEMA_VERSION
@@ -109,6 +111,9 @@ def collect_manifest(
             "cpu_count": os.cpu_count() or 1,
             "platform": platform.platform(),
             "python": sys.version.split()[0],
+            # the build's sort primitives lean on NumPy's sort kernels,
+            # so build timings are only comparable at one NumPy version
+            "numpy": np.__version__,
         },
         "execution": ctx.provenance() if ctx is not None else None,
         "dataset": (

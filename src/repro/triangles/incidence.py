@@ -2,7 +2,11 @@
 
 The truss-peeling kernel needs, for each edge, the ids of every triangle
 it participates in (to cascade support decrements when the edge is
-removed). This builds that mapping once from a :class:`TriangleSet`.
+removed). This builds that mapping from a :class:`TriangleSet` with one
+stable group-by of the 3t (edge, triangle) incidences by edge id
+(:func:`~repro.utils.sorting.stable_order`): each edge's triangle ids
+keep their order in the concatenated ``e_uv``, ``e_uw``, ``e_vw``
+columns.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.triangles.enumerate import TriangleSet
+from repro.utils.sorting import stable_order
 
 
 class EdgeTriangleIncidence:
@@ -33,9 +38,8 @@ class EdgeTriangleIncidence:
         else:
             dt = np.dtype(np.int64)
         eids = np.concatenate([triangles.e_uv, triangles.e_uw, triangles.e_vw])
-        tids = np.concatenate([np.arange(t, dtype=dt)] * 3)
-        order = np.argsort(eids, kind="stable")
-        eids, tids = eids[order], tids[order]
+        # incidence position p belongs to triangle p mod t
+        tids = (stable_order(eids, m) % max(t, 1)).astype(dt, copy=False)
         counts = np.bincount(eids, minlength=m)
         indptr = np.zeros(m + 1, dtype=dt)
         np.cumsum(counts, out=indptr[1:])

@@ -32,6 +32,7 @@ from repro.obs import metrics
 from repro.parallel.context import ExecutionContext
 from repro.triangles.enumerate import TriangleSet, enumerate_triangles
 from repro.triangles.incidence import EdgeTriangleIncidence
+from repro.utils.sorting import unique_sorted
 
 #: ``repro.truss.frontier_size`` histogram boundaries — frontier sizes
 #: span "one straggler edge" to "most of the graph in one sub-round".
@@ -244,7 +245,7 @@ def truss_decomposition(
             cum = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
             local = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts)
             touched = tri_ids[np.repeat(indptr[frontier], counts) + local]
-            dying = np.unique(touched[alive_t[touched]])
+            dying = unique_sorted(touched[alive_t[touched]])
             alive_t[dying] = False
             sides = np.concatenate([e_uv[dying], e_uw[dying], e_vw[dying]])
             return sides[alive_e[sides]]

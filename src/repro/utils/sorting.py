@@ -1,0 +1,58 @@
+"""Sort primitives for the index build's dedupes and group-bys.
+
+Every dedupe and every group-by on the build path goes through one of
+two functions here, because the NumPy calls they replace cost more than
+the kernels around them:
+
+* A plain ``np.unique(a)`` (NumPy ≥ 2.3) takes a hash-table path. On
+  the build's large integer arrays that is an order of magnitude slower
+  than the in-place sort plus adjacent-difference mask that
+  :func:`unique_sorted` does; both return the same sorted array.
+* ``np.argsort(a, kind="stable")`` on 32- and 64-bit integers is a
+  timsort. :func:`stable_order` gets the identical permutation from the
+  vectorized ``np.sort`` of unique composite keys, or, for keys that
+  fit 8 or 16 bits, from the radix sort NumPy runs on those dtypes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_INT64_LIMIT = 1 << 63
+
+
+def unique_sorted(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of integer array ``a``; equals ``np.unique(a)``."""
+    s = np.sort(a, axis=None)
+    if s.size < 2:
+        return s
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    Keys below 2¹⁶ are cast to the smallest unsigned dtype that holds
+    ``bound - 1``, which NumPy stable-sorts with a radix sort. Larger
+    keys are packed as ``key << b | position`` with ``2**b ≥ len(keys)``:
+    the packed values are distinct, so their plain ascending sort is
+    exactly the stable order, and the low ``b`` bits give the position
+    back. If the packed value would not fit an int64 the plain stable
+    argsort runs instead.
+    """
+    small = np.min_scalar_type(max(bound - 1, 0))
+    if small.itemsize <= 2:
+        return np.argsort(keys.astype(small), kind="stable")
+    n = keys.size
+    shift = max(n - 1, 0).bit_length()
+    if bound << shift > _INT64_LIMIT:
+        return np.argsort(keys, kind="stable")
+    packed = keys.astype(np.int64)
+    packed <<= shift
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << shift) - 1
+    return packed

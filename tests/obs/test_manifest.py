@@ -1,5 +1,6 @@
 """Run-provenance manifests: collect, validate, round-trip, attach."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
@@ -25,6 +26,7 @@ def test_collect_manifest_minimal_shape():
     assert doc["execution"] is None
     assert doc["dataset"] is None
     assert doc["host"]["cpu_count"] >= 1
+    assert doc["host"]["numpy"] == np.__version__
     versions = doc["schema_versions"]
     assert set(versions) == {
         "trace", "metrics", "manifest", "snapshot", "store", "journal"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.graph import CSRGraph, build_graph
 from repro.graph.generators import complete_graph, erdos_renyi_gnm, paper_example_graph
 from repro.truss import truss_decomposition
-from repro.truss.linalg import truss_decomposition_linalg
+from tests.truss.linalg import truss_decomposition_linalg
 
 
 def test_matches_peeling_on_paper_example():
