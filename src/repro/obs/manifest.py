@@ -78,6 +78,7 @@ def dataset_fingerprint(graph, name: str | None = None) -> dict:
 def schema_versions() -> dict:
     """Schema versions of every artifact family a run can emit."""
     from repro.bench.snapshot import SNAPSHOT_SCHEMA_VERSION
+    from repro.serve.protocol import PROTOCOL_VERSION
     from repro.store.format import STORE_FORMAT_VERSION
     from repro.store.journal import JOURNAL_SCHEMA_VERSION
 
@@ -88,6 +89,7 @@ def schema_versions() -> dict:
         "snapshot": SNAPSHOT_SCHEMA_VERSION,
         "store": STORE_FORMAT_VERSION,
         "journal": JOURNAL_SCHEMA_VERSION,
+        "wire": PROTOCOL_VERSION,
     }
 
 

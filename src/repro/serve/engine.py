@@ -12,7 +12,7 @@ instead of a per-query BFS:
    each distinct label is one community (no traversal).
 3. *Materialize* the community's edges once per ``(level, component)``
    and memoize; repeat queries into the same community share the
-   (read-only) array, and a shard encodes its compact-JSON id list once
+   (read-only) array, and a shard packs its ids for the wire once
    (:meth:`QueryEngine.encoded_edge_ids`). Arrays and bytes share one
    LRU byte budget, :data:`MEMO_BUDGET_BYTES`.
 

@@ -167,7 +167,9 @@ class ShardHandle:
 
     # ------------------------------------------------------------------
     async def spawn(self) -> None:
-        """Start the worker and wait for its ready handshake."""
+        """Start the worker and wait for its ready handshake; a worker
+        that speaks another :data:`~repro.serve.protocol.PROTOCOL_VERSION`
+        is killed."""
         proc = await asyncio.create_subprocess_exec(
             *_shard_command(self.config, self.rank),
             stdin=asyncio.subprocess.PIPE,
@@ -194,11 +196,13 @@ class ShardHandle:
                 f"shard {self.rank} exited (rc={proc.returncode}) before ready"
             )
         frame = protocol.decode_frame(line)
-        if frame.get("op") != "ready":
+        op, version = frame.get("op"), frame.get("version")
+        if op != "ready" or version != protocol.PROTOCOL_VERSION:
             proc.kill()
             await proc.wait()
             raise ShardUnavailableError(
-                f"shard {self.rank} sent {frame.get('op')!r} instead of ready"
+                f"shard {self.rank} sent {op!r} at protocol version {version!r}, "
+                f"not 'ready' at {protocol.PROTOCOL_VERSION}"
             )
         self.ready = frame
         self._attach(proc)

@@ -9,7 +9,7 @@ One reply carries a body after its frame: a shard's answer to a
 ``batch`` request is the header frame
 ``{"id": ..., "ok": true, "sizes": [n1, ...], "generation": ...,
 "elapsed_ms": ..., "encode_ms": ...}`` followed by exactly
-``sum(sizes)`` bytes, the concatenation of each answer's compact-JSON
+``sum(sizes)`` bytes, the concatenation of each answer's encoded
 communities list (:func:`encode_communities`), in request order. The
 frontend slices that body by ``sizes`` and splices each slice into the
 client's ``query`` response (:func:`query_response_frame`) without
@@ -28,16 +28,24 @@ that maps 1:1 onto the typed exceptions in :mod:`repro.errors`;
 callers catch :class:`~repro.errors.BackpressureError` /
 :class:`~repro.errors.ShardUnavailableError` instead of parsing dicts.
 
-Communities travel as ``{"k": int, "edge_ids": [int, ...]}`` with the
-edge ids in the engine's canonical sorted order, so a response compares
-bit-identically against an in-process
+Communities travel packed: ``{"k":K,"edge_ids_u32":"…"}``, the value
+the base64 of the community's edge ids as little-endian unsigned 32-bit
+ints, or ``"edge_ids_u64"`` and 64-bit ints when its largest id is
+≥ 2³², so a client builds no JSON integer per edge. :func:`decode_frame`
+unpacks every such object back to
+``{"k": int, "edge_ids": [int, ...]}`` with the ids in the engine's
+canonical sorted order, so a decoded response compares equal to
+:func:`serialize_communities` of an in-process
 :meth:`~repro.serve.engine.QueryEngine.query` result.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from typing import Any
+
+import numpy as np
 
 from repro.errors import (
     BackpressureError,
@@ -47,8 +55,9 @@ from repro.errors import (
     WireProtocolError,
 )
 
-#: Protocol version stamped into ready/hello frames.
-PROTOCOL_VERSION = 1
+#: Protocol version a shard stamps into its ready frame; the frontend
+#: refuses a shard that speaks another. 2: communities travel packed.
+PROTOCOL_VERSION = 2
 
 #: One frame (request or response) may not exceed this many bytes —
 #: a corrupt peer must not balloon the reader's buffer.
@@ -130,7 +139,8 @@ def encode_frame(obj: dict) -> bytes:
 
 
 def decode_frame(line: bytes | str) -> dict:
-    """Parse one frame; :class:`WireProtocolError` on anything malformed."""
+    """Parse one frame, unpacking packed communities to ``edge_ids``
+    lists; :class:`WireProtocolError` on anything malformed."""
     if isinstance(line, bytes):
         if len(line) > MAX_FRAME_BYTES:
             raise WireProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
@@ -139,7 +149,7 @@ def decode_frame(line: bytes | str) -> dict:
         except UnicodeDecodeError as exc:
             raise WireProtocolError(f"frame is not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, object_hook=_unpack_community)
     except json.JSONDecodeError as exc:
         raise WireProtocolError(f"frame is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -182,6 +192,9 @@ def raise_for_error(response: dict) -> dict:
 
 # -- payload shapes ----------------------------------------------------
 
+#: packed community id key → little-endian dtype of its ids
+_PACKED = {"edge_ids_u32": np.dtype("<u4"), "edge_ids_u64": np.dtype("<u8")}
+
 
 def serialize_communities(communities) -> list[dict]:
     """Engine results → wire shape, canonical order and ids preserved."""
@@ -191,21 +204,47 @@ def serialize_communities(communities) -> list[dict]:
 
 
 def encode_edge_ids(edge_ids) -> bytes:
-    """One community's sorted edge ids → their compact JSON list."""
-    return _dumps(edge_ids.tolist())
+    """One community's sorted edge ids → its packed JSON member,
+    ``"edge_ids_u32":"<base64>"``; ``edge_ids_u64`` when an id is ≥ 2³²,
+    which a u32 cast would wrap silently."""
+    wide = edge_ids.size and int(edge_ids.max()) >> 32
+    key = "edge_ids_u64" if wide else "edge_ids_u32"
+    raw = np.asarray(edge_ids, _PACKED[key]).tobytes()
+    return b'"%b":"%b"' % (key.encode(), base64.b64encode(raw))
+
+
+def _unpack_community(obj: dict) -> dict:
+    """``json.loads`` object hook: a packed community → ``{"k", "edge_ids"}``."""
+    key = next((key for key in _PACKED if key in obj), None)
+    if key is None:
+        return obj
+    k, payload = obj.get("k"), obj[key]
+    if obj.keys() != {"k", key} or type(k) is not int or type(payload) is not str:
+        raise WireProtocolError(
+            f"a packed community is an int 'k' and a string {key!r}, got "
+            f"{ {name: type(value).__name__ for name, value in obj.items()} }"
+        )
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise WireProtocolError(f"{key} is not base64: {exc}") from exc
+    if len(raw) % _PACKED[key].itemsize:
+        raise WireProtocolError(f"{key} holds {len(raw)} bytes, not whole ids")
+    return {"k": k, "edge_ids": np.frombuffer(raw, _PACKED[key]).tolist()}
 
 
 def encode_communities(communities, engine=None) -> bytes:
-    """Engine results → the compact JSON of :func:`serialize_communities`.
+    """Engine results → the packed JSON list that :func:`decode_frame`
+    decodes to :func:`serialize_communities` of them.
 
     With ``engine`` (the :class:`~repro.serve.engine.QueryEngine` that
-    answered), each community's id list comes from the engine's memo,
+    answered), each community's packed ids come from the engine's memo,
     encoded once per index generation; only the ``{"k":…}`` wrapper of
     the query's own ``k`` is built per answer.
     """
     ids = encode_edge_ids if engine is None else engine.encoded_edge_ids
     return b"[%b]" % b",".join(
-        b'{"k":%d,"edge_ids":%b}' % (c.k, ids(c.edge_ids)) for c in communities
+        b'{"k":%d,%b}' % (c.k, ids(c.edge_ids)) for c in communities
     )
 
 
@@ -214,9 +253,9 @@ def query_response_frame(
 ) -> bytes:
     """A ``query`` success frame around already-encoded ``communities``.
 
-    Byte-identical to ``encode_frame(ok_response(req_id, vertex=vertex,
-    k=k, communities=...))`` when ``communities`` came from
-    :func:`encode_communities`.
+    When ``communities`` came from :func:`encode_communities`, the frame
+    decodes to ``ok_response(req_id, vertex=vertex, k=k,
+    communities=serialize_communities(...))``.
     """
     return b"".join((
         b'{"id":', _dumps(req_id),

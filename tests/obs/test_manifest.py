@@ -16,6 +16,7 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.parallel.context import ExecutionContext
+from repro.serve.protocol import PROTOCOL_VERSION
 
 
 def test_collect_manifest_minimal_shape():
@@ -29,8 +30,9 @@ def test_collect_manifest_minimal_shape():
     assert doc["host"]["numpy"] == np.__version__
     versions = doc["schema_versions"]
     assert set(versions) == {
-        "trace", "metrics", "manifest", "snapshot", "store", "journal"
+        "trace", "metrics", "manifest", "snapshot", "store", "journal", "wire"
     }
+    assert versions["wire"] == PROTOCOL_VERSION
 
 
 def test_collect_manifest_with_context_and_graph():

@@ -6,7 +6,8 @@ query's own ``{"k":…}`` for every answer. Pinned here:
 
 * **byte identity** — every answer encoded through the memo equals the
   encoding of a fresh engine's answer without it, for every (vertex, k)
-  including k between two levels and k above kmax, in any query order;
+  including k between two levels and k above kmax, in any query order,
+  and those bytes decode to the answer's serialized communities;
 * **generations** — a ``DynamicEquiTruss`` update rebinds the engine,
   after which the memo serves the bytes of a from-scratch engine;
 * **the budget** — arrays plus bytes never exceed
@@ -27,7 +28,13 @@ from repro.graph.generators import complete_graph, erdos_renyi_gnm, paper_exampl
 import repro.serve.engine as engine_mod
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serve import QueryEngine
-from repro.serve.protocol import encode_communities, serialize_communities
+from repro.serve.protocol import (
+    decode_frame,
+    encode_communities,
+    ok_response,
+    query_response_frame,
+    serialize_communities,
+)
 from repro.serve.shard import ShardWorker
 
 
@@ -53,12 +60,13 @@ def index_of(name):
 
 
 def reference(index, v, k):
-    """The wire bytes a fresh, memo-free engine's answer encodes to."""
+    """The wire bytes a fresh, memo-free engine's answer encodes to,
+    checked to decode to that answer."""
     answer = QueryEngine(index, cache_size=0).query(v, k, record=False)
     plain = encode_communities(answer)
-    assert plain == json.dumps(
-        serialize_communities(answer), separators=(",", ":")
-    ).encode()
+    assert decode_frame(query_response_frame(7, v, k, plain)) == ok_response(
+        7, vertex=v, k=k, communities=serialize_communities(answer)
+    )
     return plain
 
 

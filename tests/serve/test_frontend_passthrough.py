@@ -6,7 +6,8 @@ slice into the client's response. Two properties pin that path:
 
 * **byte identity** — every raw response line equals the frame an
   in-process encode of the engine's answer produces, byte for byte,
-  for integer and string request ids, at 1 and 2 shards;
+  for integer and string request ids, at 1 and 2 shards, and decodes
+  to the engine answer's serialized communities;
 * **bounded failure** — a malformed batch header (bad ``sizes``, wrong
   count, oversize body) fails that batch with a typed ``protocol``
   error and disconnects the shard, which is respawned on its next
@@ -31,6 +32,7 @@ from repro.serve.protocol import (
     encode_communities,
     encode_frame,
     ok_response,
+    query_response_frame,
     serialize_communities,
 )
 from tests.serve.test_engine_differential import every_pair
@@ -50,10 +52,11 @@ def test_raw_responses_byte_identical_to_engine_encode(served_store, name, shard
     expected = {}
     for i, (v, k) in enumerate(pairs):
         rid = request_id(i)
-        line = encode_frame(ok_response(
-            rid, vertex=v, k=k,
-            communities=serialize_communities(engine.query(v, k, record=False)),
-        ))
+        answer = engine.query(v, k, record=False)
+        line = query_response_frame(rid, v, k, encode_communities(answer))
+        assert decode_frame(line) == ok_response(
+            rid, vertex=v, k=k, communities=serialize_communities(answer)
+        )
         expected[line] = expected.get(line, 0) + 1
     config = FrontendConfig(store_path=store_path, num_shards=shards)
     with FrontendThread(config) as server, socket.create_connection(
