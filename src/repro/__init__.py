@@ -51,11 +51,6 @@ from repro.community import (
 )
 from repro.serve import QueryCache, QueryEngine
 from repro.core_decomp import core_decomposition, kcore_community
-from repro.distributed import (
-    distributed_components,
-    distributed_support,
-    distributed_triangle_count,
-)
 from repro.parallel import (
     DtypePolicy,
     ExecutionContext,
@@ -108,10 +103,6 @@ __all__ = [
     # k-core comparator
     "core_decomposition",
     "kcore_community",
-    # distributed substrate
-    "distributed_components",
-    "distributed_support",
-    "distributed_triangle_count",
     # parallel runtime
     "DtypePolicy",
     "ExecutionContext",

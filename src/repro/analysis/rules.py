@@ -53,7 +53,7 @@ KERNEL_PACKAGES = frozenset(
 
 #: Packages additionally scanned for unguarded key arithmetic (REP005).
 DTYPE_PACKAGES = KERNEL_PACKAGES | frozenset(
-    {"parallel", "distributed", "community", "core_decomp"}
+    {"parallel", "community", "core_decomp"}
 )
 
 ATOMICS_MODULE = "repro.parallel.atomics"

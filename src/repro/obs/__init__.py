@@ -26,7 +26,7 @@ from repro.obs.metrics import (
     set_gauge_max,
     use_registry,
 )
-from repro.obs.trace import Span, Tracer, current_tracer, span, use_tracer
+from repro.obs.trace import Span, Tracer, current_tracer, use_tracer
 
 __all__ = [
     "MetricsRegistry",
@@ -39,7 +39,6 @@ __all__ = [
     "reset_metrics",
     "set_gauge",
     "set_gauge_max",
-    "span",
     "use_registry",
     "use_tracer",
 ]

@@ -12,10 +12,10 @@ Span start times are seconds relative to the owning tracer's epoch
 (``time.perf_counter`` at construction). Traces export to JSONL via
 :mod:`repro.obs.export` and render via :mod:`repro.obs.report`.
 
-An *ambient* tracer can be installed with :func:`use_tracer`; code that
-is not threaded through an ``ExecutionContext`` (e.g. the distributed
-drivers) opens spans on it through the module-level :func:`span`
-helper, which degrades to a no-op when no tracer is active.
+An *ambient* tracer can be installed with :func:`use_tracer` and read
+back with :func:`current_tracer`: :mod:`repro.obs.worker` runs each
+worker task under a fresh one, and :mod:`repro.bench.workloads` grafts
+each build's spans into the one a bench driver installed.
 """
 
 from __future__ import annotations
@@ -177,14 +177,3 @@ def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
         yield tracer
     finally:
         _ACTIVE = prev
-
-
-@contextmanager
-def span(name: str, **attrs) -> Iterator[Span | None]:
-    """Open a span on the ambient tracer; no-op when none is active."""
-    tracer = _ACTIVE
-    if tracer is None:
-        yield None
-        return
-    with tracer.span(name, **attrs) as sp:
-        yield sp

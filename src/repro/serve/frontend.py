@@ -6,9 +6,9 @@ server speaks the newline-delimited JSON protocol of
 ``(vertex, k)`` queries into shard-worker ``query_many`` batches:
 
 * **Shard routing** — each request goes to the shard that owns its
-  vertex under the block partition of
-  :class:`repro.distributed.partition.VertexOwnership`. Every shard worker maps
-  the *full* persistent store
+  vertex under :class:`~repro.serve.protocol.BlockOwnership`, the same
+  partition each shard announces as its ready frame's ``owned`` range.
+  Every shard worker maps the *full* persistent store
   (:func:`~repro.store.reader.attach_store`), so routing is a cache-
   locality decision, not a correctness one: communities crossing
   partition boundaries are answered exactly by whichever shard owns
@@ -190,6 +190,13 @@ class ShardHandle:
                 f"shard {self.rank} did not become ready within "
                 f"{self.config.ready_timeout_s}s"
             ) from None
+        except ValueError:  # readline()'s LimitOverrunError
+            proc.kill()
+            await proc.wait()
+            raise ShardUnavailableError(
+                f"shard {self.rank} sent a ready line past "
+                f"{protocol.MAX_FRAME_BYTES} bytes"
+            ) from None
         if not line:
             await proc.wait()
             raise ShardUnavailableError(
@@ -224,7 +231,14 @@ class ShardHandle:
         """
         reason = "disconnected"
         while True:
-            line = await stdout.readline()
+            try:
+                line = await stdout.readline()
+            except ValueError:  # readline()'s LimitOverrunError
+                reason = (
+                    f"sent a malformed reply (a line past "
+                    f"{protocol.MAX_FRAME_BYTES} bytes)"
+                )
+                break
             if not line:
                 break
             try:
@@ -359,9 +373,9 @@ class ServingFrontend:
         header = read_header(config.store_path)
         self.num_vertices = int(header["num_vertices"])
         self.generation = int(header["generation"])
-        # scalar mirror of VertexOwnership.owner_of (same block formula;
-        # the differential suite pins the equivalence)
-        self._block = -(-self.num_vertices // config.num_shards) or 1
+        self._ownership = protocol.BlockOwnership(
+            self.num_vertices, config.num_shards
+        )
         self.shards = [ShardHandle(config, r) for r in range(config.num_shards)]
         self.host: str | None = None
         self.port: int | None = None
@@ -375,9 +389,6 @@ class ServingFrontend:
         self._in_flight = [0] * config.num_shards
         self._batch_tasks: set[asyncio.Task] = set()
         self._admitted = 0
-
-    def _owner(self, vertex: int) -> int:
-        return min(vertex // self._block, self.config.num_shards - 1)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -435,8 +446,18 @@ class ServingFrontend:
                 task = asyncio.create_task(self._serve_frame(line, writer, wlock))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
-        except (ConnectionError, asyncio.LimitOverrunError):
+        except ConnectionError:
             pass
+        except ValueError:
+            # readline()'s LimitOverrunError, a frame past the limit: the
+            # rest of the stream is out of step, so answer once and close
+            await self._write(writer, wlock, protocol.encode_frame(
+                protocol.error_response(
+                    None, protocol.ERR_PROTOCOL,
+                    f"frame exceeds {protocol.MAX_FRAME_BYTES} bytes; "
+                    "closing the connection",
+                )
+            ))
         finally:
             # a disconnect drops the responses, not the batches: pending
             # request tasks run to completion and their writes no-op
@@ -577,6 +598,8 @@ class ServingFrontend:
         from repro.obs.metrics import MetricsRegistry
 
         fmt = obj.get("format", "prometheus")
+        if fmt not in ("prometheus", "json"):
+            raise WireProtocolError(f"unknown metrics format {fmt!r}")
         merged = MetricsRegistry()
         merged.merge_state(metrics.get_registry().dump_state())
         for shard in self.shards:
@@ -591,9 +614,7 @@ class ServingFrontend:
             merged.merge_state(resp.get("state") or {})
         if fmt == "prometheus":
             return protocol.ok_response(req_id, body=render_prometheus(merged))
-        if fmt == "json":
-            return protocol.ok_response(req_id, metrics=merged.as_dict())
-        raise WireProtocolError(f"unknown metrics format {fmt!r}")
+        return protocol.ok_response(req_id, metrics=merged.as_dict())
 
     # ------------------------------------------------------------------
     # Coalescing + routing
@@ -612,7 +633,7 @@ class ServingFrontend:
             boundaries=COUNT_BOUNDARIES,
         )
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        rank = self._owner(vertex)
+        rank = self._ownership.owner(vertex)
         self._buffers[rank].setdefault(k, []).append((vertex, fut))
         if not self._in_flight[rank]:
             self._send(rank)

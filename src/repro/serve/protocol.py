@@ -91,6 +91,34 @@ SHARD_OPS: tuple[str, ...] = (
     "shutdown",
 )
 
+# -- shard ownership ---------------------------------------------------
+
+
+class BlockOwnership:
+    """Contiguous blocks of ``ceil(num_vertices / num_shards)`` vertex
+    ids, one per shard in rank order (trailing shards own none when
+    there are more shards than vertices).
+
+    The frontend routes each query to :meth:`owner` of its vertex, and
+    each shard announces :meth:`owned_range` as its ready frame's
+    ``owned``; both read the one ``block`` computed here.
+    """
+
+    def __init__(self, num_vertices: int, num_shards: int) -> None:
+        self.num_vertices = int(num_vertices)
+        self.num_shards = int(num_shards)
+        self.block = -(-self.num_vertices // self.num_shards) or 1
+
+    def owner(self, vertex: int) -> int:
+        """The shard owning ``vertex`` (plain int arithmetic)."""
+        return min(vertex // self.block, self.num_shards - 1)
+
+    def owned_range(self, rank: int) -> tuple[int, int]:
+        """The ``[lo, hi)`` vertex ids shard ``rank`` owns."""
+        lo = min(rank * self.block, self.num_vertices)
+        return lo, min(lo + self.block, self.num_vertices)
+
+
 # -- error vocabulary --------------------------------------------------
 
 ERR_BACKPRESSURE = "backpressure"

@@ -8,8 +8,8 @@ and answers newline-delimited JSON batches on stdin/stdout (see
 :mod:`repro.serve.protocol`). A ``batch`` reply is a header frame
 followed by the answers' encoded communities, which the frontend passes
 through to its clients undecoded. The frontend owns the routing: this
-worker *serves* the vertex partition ``rank`` of
-:class:`~repro.distributed.partition.VertexOwnership` but can answer
+worker *serves* the vertex block ``rank`` of
+:class:`~repro.serve.protocol.BlockOwnership` but can answer
 any vertex of the graph — every shard maps the full index, so
 communities that cross partition boundaries need no cross-shard merge.
 
@@ -40,6 +40,7 @@ from repro.obs import metrics
 from repro.obs.histogram import DEFAULT_MS_BOUNDARIES
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
+    BlockOwnership,
     decode_frame,
     encode_communities,
     encode_frame,
@@ -62,7 +63,6 @@ class ShardWorker:
         delay_ms: float = 0.0,
         variant: str = "afforest",
     ) -> None:
-        from repro.distributed.partition import VertexOwnership
         from repro.store import attach_store
 
         self.rank = int(rank)
@@ -76,7 +76,7 @@ class ShardWorker:
         self.variant = variant
         self.store = attach_store(store_path)
         self.engine = self.store.engine(cache_size=cache_size)
-        self.ownership = VertexOwnership(self.store.graph.num_vertices, self.ranks)
+        self.ownership = BlockOwnership(self.store.graph.num_vertices, self.ranks)
         self.batches = 0
 
     # ------------------------------------------------------------------

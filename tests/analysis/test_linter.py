@@ -10,8 +10,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import Baseline, run_lint
 from repro.analysis.__main__ import main as lint_main
 from repro.analysis.engine import DEFAULT_BASELINE_NAME
@@ -260,6 +258,19 @@ def test_rep005_module_level_guards_accepted(tmp_path):
         INLINE = U * np.int64(70000) + V
     """)
     assert "REP005" not in rule_ids(findings)
+
+
+def test_scanned_packages_exist():
+    """Every package the kernel and dtype rules scan is a real package,
+    so deleting one cannot leave a stale scan target behind."""
+    from repro.analysis.rules import DTYPE_PACKAGES, KERNEL_PACKAGES
+
+    src = REPO_ROOT / "src" / "repro"
+    missing = sorted(
+        name for name in KERNEL_PACKAGES | DTYPE_PACKAGES
+        if not (src / name / "__init__.py").is_file()
+    )
+    assert not missing
 
 
 # ----------------------------------------------------------------------

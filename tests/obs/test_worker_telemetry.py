@@ -43,11 +43,11 @@ WORKER_SPAN_COUNTERS = WORKER_COUNTERS
 
 
 def _noisy_fn(x):
-    from repro.obs.trace import span
+    from repro.obs.trace import current_tracer
 
     metrics_mod.inc("repro.test.units", x)
     metrics_mod.observe("repro.test.task_part", float(x))
-    with span("inner"):
+    with current_tracer().span("inner"):
         pass
     return x * 2
 

@@ -200,6 +200,35 @@ def test_body_cut_short_fails_pending_with_shard_unavailable(served_store):
     asyncio.run(scenario())
 
 
+def test_oversize_reply_line_fails_pending_with_shard_unavailable(served_store):
+    """A reply line past the pipe's read limit breaks framing like a
+    malformed header: the shard is disconnected and every pending call
+    fails ``shard_unavailable`` at once instead of waiting out its
+    timeout."""
+    _, _, store_path = served_store("paper")
+    frontend = frontend_over(store_path, restart_limit=0)
+
+    async def scenario():
+        fake = attach_fake(frontend)
+        shard = frontend.shards[0]
+        try:
+            batch = asyncio.ensure_future(frontend._submit(0, 3))
+            await next_request(fake)
+            stats = asyncio.ensure_future(shard.call({"op": "stats"}))
+            await next_request(fake, 2)
+            fake.stdout.feed_data(b'{"pad":"' + b"x" * 2**16 + b'"}\n')
+            for fut in (batch, stats):
+                with pytest.raises(ShardUnavailableError, match="malformed"):
+                    await asyncio.wait_for(fut, 10.0)
+            assert fake.returncode is not None, "out-of-step shard not killed"
+            assert not shard.alive
+            assert frontend._admitted == 0
+        finally:
+            await frontend.stop()
+
+    asyncio.run(scenario())
+
+
 def test_late_reply_to_timed_out_batch_keeps_stream_in_step(served_store):
     _, _, store_path = served_store("paper")
     frontend = frontend_over(store_path)

@@ -10,7 +10,8 @@ it back into ``{"k":K,"edge_ids":[…]}``. Pinned here:
   :class:`~repro.errors.WireProtocolError`, never a ``binascii`` or
   ``ValueError``/``TypeError`` from the decoding underneath;
 * **handshake** — the frontend refuses a shard whose ready frame
-  announces another protocol version, within ``ready_timeout_s``.
+  announces another protocol version, within ``ready_timeout_s``, and
+  kills one whose ready line is past the read limit.
 """
 
 import asyncio
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.serve.frontend as frontend_mod
+import repro.serve.protocol as protocol_mod
 from repro.community.model import Community
 from repro.errors import ShardUnavailableError, WireProtocolError
 from repro.serve.frontend import FrontendConfig, ShardHandle
@@ -122,3 +124,31 @@ def test_shard_announcing_another_version_is_killed(monkeypatch, tmp_path):
     assert handle.proc.returncode is not None, "mismatched shard left running"
     assert not handle.alive and handle.ready == {}
 
+
+OVERSIZE_READY_SHARD = """
+import sys, time
+sys.stdout.write("x" * 10000 + "\\n")
+sys.stdout.flush()
+time.sleep(60)
+"""
+
+
+def test_shard_with_an_oversize_ready_line_is_killed(monkeypatch, tmp_path):
+    """A ready line past the read limit fails the spawn typed and kills
+    the worker, like any other bad handshake."""
+    monkeypatch.setattr(protocol_mod, "MAX_FRAME_BYTES", 4096)
+    monkeypatch.setattr(
+        frontend_mod, "_shard_command",
+        lambda config, rank: [sys.executable, "-c", OVERSIZE_READY_SHARD],
+    )
+    handle = ShardHandle(
+        FrontendConfig(store_path=tmp_path / "none.eqtsidx", ready_timeout_s=20.0), 0
+    )
+
+    async def scenario():
+        with pytest.raises(ShardUnavailableError, match="ready line past 4096"):
+            await handle.spawn()
+
+    asyncio.run(scenario())
+    assert handle.proc.returncode is not None, "oversize shard left running"
+    assert not handle.alive

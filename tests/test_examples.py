@@ -47,12 +47,6 @@ def test_dynamic_social_updates():
     assert "affected" in out
 
 
-def test_distributed_scaleout():
-    out = run_example("distributed_scaleout.py", "--dataset", "amazon")
-    assert "SPMD emulator" in out
-    assert "False" not in out  # every rank count verified correct
-
-
 def test_index_pipeline_scaling():
     out = run_example("index_pipeline_scaling.py", "--dataset", "amazon")
     assert "Per-kernel breakdown" in out

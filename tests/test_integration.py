@@ -2,7 +2,7 @@
 
 Exercises generate → build (all variants) → semantic verification →
 persistence → queries (basic/advanced, all engines) → dynamic update →
-distributed kernels, on a scaled-down Table-3 stand-in.
+connected components, on a scaled-down Table-3 stand-in.
 """
 
 import numpy as np
@@ -12,8 +12,6 @@ from repro import (
     DynamicEquiTruss,
     build_index,
     connected_components,
-    distributed_support,
-    distributed_triangle_count,
     enumerate_triangles,
     max_k_communities,
     online_communities,
@@ -81,14 +79,6 @@ def test_dynamic_update_on_workload(workload):
     keep = us != vs
     dyn.insert_edges(us[keep], vs[keep])
     assert dyn.index == build_index(dyn.graph, "afforest").index
-
-
-def test_distributed_agrees_with_local(workload):
-    graph, tri, dec = workload
-    count, _ = distributed_triangle_count(graph.edges, 3)
-    assert count == tri.count
-    sup, _ = distributed_support(graph.edges, 3)
-    assert np.array_equal(sup, tri.support())
 
 
 def test_cc_methods_on_workload(workload):
