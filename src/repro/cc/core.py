@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.parallel.context import ExecutionContext
-from repro.utils.sorting import stable_order
+from repro.utils.sorting import group_offsets, stable_order, unique_sorted
 
 
 def _ensure(ctx) -> ExecutionContext:
@@ -50,7 +50,7 @@ def minlabel_hook_rounds(
         return rounds
     ctx = _ensure(ctx)
     ws = ctx.workspace
-    touched = np.unique(np.concatenate([a, b]))
+    touched = unique_sorted(np.concatenate([a, b]))
     while True:
         rounds += 1
         ctx.add_round(2 * a.size)
@@ -146,12 +146,8 @@ def pairs_to_csr(num_nodes: int, a: np.ndarray, b: np.ndarray, index_dtype=None)
     dt = np.dtype(index_dtype) if index_dtype is not None else np.dtype(np.int64)
     src = np.concatenate([a, b])
     dst = np.concatenate([b, a]).astype(dt, copy=False)
-    order = stable_order(src, num_nodes)
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=num_nodes)
-    indptr = np.zeros(num_nodes + 1, dtype=dt)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, dst
+    indptr = group_offsets(src, num_nodes).astype(dt, copy=False)
+    return indptr, dst[stable_order(src, num_nodes)]
 
 
 def normalize_labels(comp: np.ndarray) -> np.ndarray:

@@ -113,7 +113,10 @@ def _triangle_columns(
     """Columnar raw level tables: the fused Init's working layout.
 
     Returns ``(hook_a, hook_b, hook_k, se_lo, se_hi, se_k, kmin)`` as
-    flat int64 arrays. Same element sequences as the stacked
+    flat arrays: the edge-id columns in the triangles' dtype, the three
+    trussness columns in the smallest unsigned dtype that holds kmax,
+    the dtype the gathers, compares and compressions run in (callers
+    widen what they publish). Same element sequences as the stacked
     :func:`triangle_tables` columns — part order and in-part order are
     identical — but built column-wise: the three ``τ == κ`` masks are
     computed once and reused (``τ > κ`` is their complement, since
@@ -124,7 +127,9 @@ def _triangle_columns(
     if trussness.shape[0] != triangles.num_edges:
         raise InvalidParameterError("trussness length must equal num_edges")
     sides = (triangles.e_uv, triangles.e_uw, triangles.e_vw)
-    taus = tuple(trussness[s] for s in sides)
+    kmax = int(trussness.max()) if trussness.size else 0
+    narrow = trussness.astype(np.min_scalar_type(kmax))
+    taus = tuple(narrow[s] for s in sides)
     kmin = np.minimum(np.minimum(taus[0], taus[1]), taus[2])
     at_min = tuple(t == kmin for t in taus)
 
@@ -152,10 +157,11 @@ def _triangle_columns(
                 se_lo.append(sides[lo_ix][mask])
                 se_hi.append(sides[hi_ix][mask])
                 se_k.append(taus[hi_ix][mask])
-    return (
-        _cat(hook_a), _cat(hook_b), _cat(hook_k),
-        _cat(se_lo), _cat(se_hi), _cat(se_k), kmin,
-    )
+    columns = []
+    for parts in (hook_a, hook_b, hook_k, se_lo, se_hi, se_k):
+        columns.append(_cat(parts))
+        parts.clear()  # free a column's pieces once it is joined
+    return (*columns, kmin)
 
 
 def triangle_tables(
@@ -173,13 +179,14 @@ def triangle_tables(
     directly to avoid the (N, 3) packing.
     """
     ha, hb, hk, slo, shi, sk, kmin = _triangle_columns(triangles, trussness)
-    hooks = np.stack([ha, hb, hk], axis=1) if ha.size else np.empty(
+    wide = trussness.dtype
+    hooks = np.stack([ha, hb, hk.astype(wide)], axis=1) if ha.size else np.empty(
         (0, 3), dtype=np.int64
     )
-    ses = np.stack([slo, shi, sk], axis=1) if slo.size else np.empty(
+    ses = np.stack([slo, shi, sk.astype(wide)], axis=1) if slo.size else np.empty(
         (0, 3), dtype=np.int64
     )
-    return hooks, ses, kmin
+    return hooks, ses, kmin.astype(wide)
 
 
 def build_level_structures(
@@ -201,19 +208,25 @@ def build_level_structures(
     ``with_adjacency=True`` additionally materializes the edge-graph CSR
     for Afforest's neighbor sampling. With a ``ctx`` whose dtype policy
     narrows, the edge-id columns (the dominant tables) are stored in the
-    context's edge dtype; the ``k`` columns stay int64 (trussness values
-    are tiny either way and compare against Python ints).
+    context's edge dtype; the ``k`` columns keep the trussness dtype
+    (trussness values are tiny either way and compare against Python
+    ints).
     """
-    ha, hb, hk, slo, shi, sk, _ = _triangle_columns(triangles, trussness)
+    ha, hb, hk, slo, shi, sk = _triangle_columns(triangles, trussness)[:6]
     present = np.bincount(trussness, minlength=3) > 0
     present[:3] = False
     present[hk] = True
     present[sk] = True
     levels = np.flatnonzero(present)
-    h_order = stable_order(hk, present.size)
-    ha, hb, hk = ha[h_order], hb[h_order], hk[h_order]
-    s_order = stable_order(sk, present.size)
-    slo, shi, sk = slo[s_order], shi[s_order], sk[s_order]
+    # a grouped k column is each level repeated by its count: no gather
+    ks = np.arange(present.size, dtype=trussness.dtype)
+    order = stable_order(hk, present.size)
+    ha, hb = ha[order], hb[order]
+    hk = np.repeat(ks, np.bincount(hk, minlength=present.size))
+    order = stable_order(sk, present.size)
+    slo, shi = slo[order], shi[order]
+    sk = np.repeat(ks, np.bincount(sk, minlength=present.size))
+    del order
     if ctx is not None:
         from repro.parallel.context import ExecutionContext
 

@@ -47,6 +47,7 @@ from repro.obs.trace import Tracer
 from repro.parallel.context import ExecutionContext
 from repro.triangles.enumerate import TriangleSet, enumerate_triangles
 from repro.truss.decompose import TrussDecomposition, truss_decomposition
+from repro.utils.sorting import group_offsets, stable_order
 
 
 @dataclass(frozen=True)
@@ -198,9 +199,14 @@ def build_index(
         metrics.set_gauge("repro.equitruss.levels", int(levels_arr.size))
 
         # --------------------------------------------- per-level SpNode/SpEdge
+        # edge ids grouped by trussness once: Φ_k is the ascending slice
+        # by_tau[offsets[k]:offsets[k + 1]]
+        by_tau = stable_order(tau, decomp.kmax + 1)
+        offsets = group_offsets(tau, decomp.kmax + 1)
         worker_subsets = None
         for k in levels_arr.tolist():
-            level_edges = int((tau == k).sum())
+            phi_k = by_tau[offsets[k] : offsets[k + 1]]
+            level_edges = int(phi_k.size)
             metrics.observe("repro.equitruss.level_edges", level_edges)
             with ctx.tracer.span("Level", k=int(k), edges=level_edges):
                 ses_level: tuple[np.ndarray, np.ndarray] | None = None
@@ -216,7 +222,7 @@ def build_index(
                             comp,
                             levels,
                             k,
-                            phi_nodes=decomp.phi(k),
+                            phi_nodes=phi_k,
                             neighbor_rounds=neighbor_rounds,
                             seed=seed,
                             ctx=ctx,

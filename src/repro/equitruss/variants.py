@@ -35,6 +35,7 @@ from repro.equitruss.levels import LevelStructures
 from repro.graph.csr import CSRGraph
 from repro.obs import metrics
 from repro.parallel.context import ExecutionContext
+from repro.utils.sorting import unique_sorted
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +246,7 @@ def sv_rounds_noskip(
         return 0
     ctx = ExecutionContext.ensure(ctx)
     ws = ctx.workspace
-    touched = np.unique(np.concatenate([a, b]))
+    touched = unique_sorted(np.concatenate([a, b]))
     rounds = 0
     while True:
         rounds += 1
@@ -307,7 +308,7 @@ def spnode_coptimal(
         return 0
     ctx = ExecutionContext.ensure(ctx)
     ws = ctx.workspace
-    touched = np.unique(np.concatenate([a, b]))
+    touched = unique_sorted(np.concatenate([a, b]))
     rounds = 0
     while True:
         rounds += 1

@@ -146,16 +146,16 @@ def _expand_selection(
         expand = b_heads if from_head else b_tails
         other = b_tails if from_head else b_heads
         counts = outdeg[expand]
-        total = int(counts.sum())
+        ends = np.cumsum(counts, dtype=counts.dtype)
+        total = int(ends[-1])
         if total == 0:
             continue
-        # Grouped arange: for slot s, local offsets 0..counts[s]-1.
-        cum = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
-        local = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts)
-        w_pos = np.repeat(indptr[expand], counts) + local
+        # Grouped arange: the out-neighbor slots of every expanded endpoint.
+        w_pos = np.repeat(indptr[expand] - (ends - counts), counts)
+        w_pos += np.arange(total, dtype=w_pos.dtype)
         w = heads[w_pos]
         # Membership: is (other, w) a DAG edge?  One searchsorted.
-        q = np.repeat(other, counts) * np.int64(max(n, 1)) + w
+        q = np.repeat(other, counts) * slot_keys.dtype.type(max(n, 1)) + w
         pos = np.searchsorted(slot_keys, q)
         pos_c = np.minimum(pos, max(num_slots - 1, 0))
         found = slot_keys[pos_c] == q
@@ -294,7 +294,9 @@ def enumerate_triangles(
     vectorized batch (peak temporary memory ≈ batch wedge count). The
     edge-id triples are stored in the dtype of ``ctx``'s policy (falling
     back to the graph's own index dtype) — they are the biggest derived
-    arrays of the pipeline, so narrowing them matters most.
+    arrays of the pipeline, so narrowing them matters most. The batch
+    arithmetic runs in int32 whenever the slot keys and wedge offsets
+    fit, whatever the policy; that never changes the output.
 
     When ``ctx`` runs the process backend with multiple workers (and the
     graph clears the backend's ``min_items`` floor), expansion fans out
@@ -302,9 +304,9 @@ def enumerate_triangles(
     the serial path.
     """
     check_positive("batch_slots", batch_slots)
-    if ctx is not None:
-        from repro.parallel.context import ExecutionContext
+    from repro.parallel.context import ExecutionContext, fits_int32
 
+    if ctx is not None:
         ctx = ExecutionContext.ensure(ctx)
         out_dtype = ctx.edge_dtype(graph.num_edges)
     else:
@@ -313,14 +315,21 @@ def enumerate_triangles(
     indptr, heads, slot_eids, tails = _degree_ordered_dag(graph)
     num_slots = heads.size
     outdeg = np.diff(indptr)
-    slot_keys = tails * np.int64(max(n, 1)) + heads  # strictly increasing
+    # Per-batch index and key arithmetic runs in int32 when it holds
+    # every slot key (< n²), slot id and in-batch wedge offset.
+    bound = max(n * n, num_slots, batch_slots * int(outdeg.max(initial=0)))
+    dt = np.dtype(np.int32 if fits_int32(bound) else np.int64)
+    indptr, heads, slot_eids, tails, outdeg = (
+        a.astype(dt, copy=False) for a in (indptr, heads, slot_eids, tails, outdeg)
+    )
+    slot_keys = tails * dt.type(max(n, 1)) + heads  # strictly increasing
 
     # For each DAG edge (u, v) we may expand either N⁺(v) (testing w
     # against N⁺(u)) or N⁺(u) (testing against N⁺(v)); both find the same
     # triangle. Expanding the smaller list bounds the wedge blow-up at
     # high-degree hubs.
     expand_head = outdeg[heads] <= outdeg[tails]
-    all_slots = np.arange(num_slots, dtype=np.int64)
+    all_slots = np.arange(num_slots, dtype=dt)
     selections = [
         (all_slots[expand_head], True),
         (all_slots[~expand_head], False),

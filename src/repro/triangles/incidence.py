@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.triangles.enumerate import TriangleSet
-from repro.utils.sorting import stable_order
+from repro.utils.sorting import group_offsets, stable_order
 
 
 class EdgeTriangleIncidence:
@@ -39,11 +39,9 @@ class EdgeTriangleIncidence:
             dt = np.dtype(np.int64)
         eids = np.concatenate([triangles.e_uv, triangles.e_uw, triangles.e_vw])
         # incidence position p belongs to triangle p mod t
-        tids = (stable_order(eids, m) % max(t, 1)).astype(dt, copy=False)
-        counts = np.bincount(eids, minlength=m)
-        indptr = np.zeros(m + 1, dtype=dt)
-        np.cumsum(counts, out=indptr[1:])
-        self.indptr = indptr
+        tids = stable_order(eids, m).astype(dt, copy=False)
+        tids %= max(t, 1)
+        self.indptr = group_offsets(eids, m).astype(dt, copy=False)
         self.tri_ids = tids
         self.num_edges = m
         self._tri = triangles

@@ -12,12 +12,16 @@ when they are finally peeled).
 decrements through dying triangles — the PKT structure); ``*_serial``
 is a pure-Python bucket-queue reference used for cross-validation.
 
-Every sub-round rescans the support array for ``sup < k - 2`` hits and
-levels with no such edge are skipped in one jump. Under the process
-backend the scans and the decrement ``bincount`` rows fan out through
-:class:`_SharedPeelState` (partition → privatize → reduce), so
-``trussness``, ``support`` and ``peel_rounds`` are bit-identical across
-backends.
+Only the first scan of a level reads every edge: it finds the level's
+initial frontier, and levels where it finds none are skipped in one
+jump. After that the next frontier comes from the sub-round's own
+decrements (PKT's curr/next frontier): the surviving sides of the dying
+triangles are sorted once into distinct edge ids with counts, their
+support drops by those counts, and the ids now below k - 2 are the next
+frontier, already in ascending order. Under the process backend the
+decrement counts fan out as privatized ``bincount`` rows (partition →
+privatize → reduce), so ``trussness``, ``support`` and ``peel_rounds``
+are bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.obs import metrics
 from repro.parallel.context import ExecutionContext
 from repro.triangles.enumerate import TriangleSet, enumerate_triangles
 from repro.triangles.incidence import EdgeTriangleIncidence
-from repro.utils.sorting import unique_sorted
+from repro.utils.sorting import unique_counts, unique_sorted
 
 #: ``repro.truss.frontier_size`` histogram boundaries — frontier sizes
 #: span "one straggler edge" to "most of the graph in one sub-round".
@@ -73,7 +77,7 @@ class TrussDecomposition:
 
     def k_classes(self) -> np.ndarray:
         """Sorted distinct trussness values ≥ 3 (the Φ_k levels)."""
-        ks = np.unique(self.trussness)
+        ks = unique_sorted(self.trussness)
         return ks[ks >= 3]
 
     def phi(self, k: int) -> np.ndarray:
@@ -92,30 +96,6 @@ def k_truss_edge_mask(decomp: TrussDecomposition, k: int) -> np.ndarray:
     return decomp.trussness >= k
 
 
-#: Frontier scans fan out only when the edge array is at least this many
-#: times the backend's ``min_items`` — the scan is O(m) *every* round,
-#: so the task round-trip must be amortized over a large m.
-_SCAN_FANOUT_FACTOR = 8
-
-
-def _w_frontier_chunk(sup_h, alive_h, lo: int, hi: int, bound: int, out_h):
-    """Process-pool worker: compact frontier hits of one edge range.
-
-    Writes the absolute edge ids whose support dropped below ``bound``
-    into the worker's disjoint ``out[lo:lo+count]`` slice; returns the
-    count. Concatenating the slices in worker order reproduces the
-    serial ``flatnonzero`` exactly.
-    """
-    from repro.parallel.shm import attach
-
-    sup = attach(sup_h)
-    alive = attach(alive_h)
-    idx = np.flatnonzero(alive[lo:hi] & (sup[lo:hi] < bound))
-    out = attach(out_h)
-    out[lo : lo + idx.size] = idx + lo
-    return int(idx.size)
-
-
 def _w_decrement_partial(sides_h, lo: int, hi: int, m: int, out_h, row: int):
     """Process-pool worker: privatized decrement counts for one range."""
     from repro.parallel.shm import attach
@@ -129,65 +109,21 @@ def _w_decrement_partial(sides_h, lo: int, hi: int, m: int, out_h, row: int):
     return hi - lo
 
 
-class _SharedPeelState:
-    """Shared-memory mirror of the peeling state for the process backend.
-
-    Owns the shared ``sup``/``alive`` arrays (the coordinator mutates
-    them in place between rounds — workers only ever read during a
-    task, so there are no races) plus the scratch buffers the two
-    fan-out stages use.
-    """
-
-    def __init__(self, backend, ctx, sup: np.ndarray, alive: np.ndarray) -> None:
-        self.backend = backend
-        self.ctx = ctx
-        self.m = sup.size
-        pool = backend.pool
-        self.sup, self.sup_h = pool.share("peel.sup", sup)
-        self.alive, self.alive_h = pool.share("peel.alive", alive)
-        self.scan_enabled = self.m >= backend.min_items * _SCAN_FANOUT_FACTOR
-        if self.scan_enabled:
-            self.frontier, self.frontier_h = pool.take(
-                "peel.frontier", self.m, np.int64
-            )
-
-    def scan_frontier(self, bound: int) -> np.ndarray:
-        """``flatnonzero(alive & (sup < bound))`` via partitioned scans."""
-        if not self.scan_enabled:
-            return np.flatnonzero(self.alive & (self.sup < bound))
-        ranges = self.ctx.partition_ranges(self.m)
-        if not ranges:
-            return np.empty(0, dtype=np.int64)
-        counts = self.backend.map_tasks(
-            _w_frontier_chunk,
-            [(self.sup_h, self.alive_h, lo, hi, bound, self.frontier_h) for lo, hi in ranges],
-            ctx=self.ctx,
-            work=[hi - lo for lo, hi in ranges],
-            kernel="FrontierScan",
-        )
-        out = self.frontier
-        return np.concatenate(
-            [out[lo : lo + c] for (lo, _), c in zip(ranges, counts)]
-        )
-
-    def decrement(self, sides: np.ndarray) -> None:
-        """``sup -= bincount(sides)`` via privatized partial rows."""
-        if sides.size < self.backend.min_items:
-            metrics.inc("repro.truss.support_decrements", sides.size)
-            self.sup -= np.bincount(sides, minlength=self.m)
-            return
-        pool = self.backend.pool
-        _, sides_h = pool.share("peel.sides", sides)
-        ranges = self.ctx.partition_ranges(sides.size)
-        partials, out_h = pool.take("peel.partials", (len(ranges), self.m), np.int64)
-        self.backend.map_tasks(
-            _w_decrement_partial,
-            [(sides_h, lo, hi, self.m, out_h, row) for row, (lo, hi) in enumerate(ranges)],
-            ctx=self.ctx,
-            work=[hi - lo for lo, hi in ranges],
-            kernel="SupportDecrement",
-        )
-        self.sup -= partials.sum(axis=0)
+def _fanout_counts(backend, ctx, sides: np.ndarray, ids: np.ndarray, m: int):
+    """Decrement count of each id in ``ids`` (the distinct ``sides``),
+    reduced from privatized per-worker ``bincount`` rows."""
+    pool = backend.pool
+    _, sides_h = pool.share("peel.sides", sides)
+    ranges = ctx.partition_ranges(sides.size)
+    partials, out_h = pool.take("peel.partials", (len(ranges), m), np.int64)
+    backend.map_tasks(
+        _w_decrement_partial,
+        [(sides_h, lo, hi, m, out_h, row) for row, (lo, hi) in enumerate(ranges)],
+        ctx=ctx,
+        work=[hi - lo for lo, hi in ranges],
+        kernel="SupportDecrement",
+    )
+    return partials[:, ids].sum(axis=0)
 
 
 def truss_decomposition(
@@ -217,19 +153,16 @@ def truss_decomposition(
         tau = np.full(m, 2, dtype=np.int64)
         alive_e = np.ones(m, dtype=bool)
         alive_t = np.ones(triangles.count, dtype=bool)
-        e_uv, e_uw, e_vw = triangles.e_uv, triangles.e_uw, triangles.e_vw
+        # the cascade gathers, sorts and filters edge ids every round:
+        # run it in the narrowest edge-id dtype, whatever the triangles'
+        edge_dt = ctx.edge_dtype(m)
+        e_uv, e_uw, e_vw = (
+            a.astype(edge_dt, copy=False)
+            for a in (triangles.e_uv, triangles.e_uw, triangles.e_vw)
+        )
         indptr, tri_ids = inc.indptr, inc.tri_ids
 
         backend = active_process_backend(ctx, m)
-        shared = None
-        if backend is not None:
-            shared = _SharedPeelState(backend, ctx, sup, alive_e)
-            sup, alive_e = shared.sup, shared.alive
-
-        def scan(bound: int) -> np.ndarray:
-            if shared is not None:
-                return shared.scan_frontier(bound)
-            return np.flatnonzero(alive_e & (sup < bound))
 
         def cascade(frontier: np.ndarray) -> np.ndarray:
             """Surviving member edges of triangles dying with ``frontier``.
@@ -238,17 +171,26 @@ def truss_decomposition(
             edges at once; each dying triangle decrements each surviving
             member edge exactly once.
             """
-            counts = indptr[frontier + 1] - indptr[frontier]
-            total = int(counts.sum())
-            if not total:
-                return np.empty(0, dtype=np.int64)
-            cum = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
-            local = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], counts)
-            touched = tri_ids[np.repeat(indptr[frontier], counts) + local]
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            # incidence slots of every frontier edge, one grouped arange
+            # (offsets stay below 3t, so indptr's dtype holds them)
+            ends = np.cumsum(counts, dtype=counts.dtype)
+            pos = np.repeat(starts - (ends - counts), counts)
+            pos += np.arange(pos.size, dtype=pos.dtype)
+            touched = tri_ids[pos]
             dying = unique_sorted(touched[alive_t[touched]])
             alive_t[dying] = False
             sides = np.concatenate([e_uv[dying], e_uw[dying], e_vw[dying]])
             return sides[alive_e[sides]]
+
+        def decrements(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Sorted distinct ``sides`` and how often each occurs."""
+            if backend is not None and sides.size >= backend.min_items:
+                ids = unique_sorted(sides)
+                return ids, _fanout_counts(backend, ctx, sides, ids, m)
+            metrics.inc("repro.truss.support_decrements", sides.size)
+            return unique_counts(sides)
 
         rounds = 0
         level_scans = 0
@@ -257,7 +199,7 @@ def truss_decomposition(
         frontier_peak = 0
         while remaining > 0:
             level_scans += 1
-            frontier = scan(k - 2)
+            frontier = np.flatnonzero(alive_e & (sup < k - 2))
             if frontier.size == 0:
                 # Skip empty levels: the next peel happens at the level
                 # where the minimum surviving support s first satisfies
@@ -280,13 +222,14 @@ def truss_decomposition(
                 alive_e[frontier] = False
                 remaining -= frontier.size
                 sides = cascade(frontier)
-                if sides.size:
-                    if shared is not None:
-                        shared.decrement(sides)
-                    else:
-                        metrics.inc("repro.truss.support_decrements", sides.size)
-                        sup -= np.bincount(sides, minlength=m)
-                frontier = scan(k - 2)
+                if not sides.size:
+                    break  # no support changed: no new frontier edge
+                ids, counts = decrements(sides)
+                left = sup[ids] - counts
+                sup[ids] = left
+                # only an edge whose support just dropped can newly fall
+                # below k - 2; ``ids`` is sorted, so this equals a rescan
+                frontier = ids[left < k - 2]
             k += 1
 
     result = TrussDecomposition(

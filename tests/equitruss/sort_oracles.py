@@ -81,10 +81,10 @@ def build_level_structures_argsort(
     return LevelStructures(
         hook_a=np.ascontiguousarray(ha, dtype=edge_dt),
         hook_b=np.ascontiguousarray(hb, dtype=edge_dt),
-        hook_k=np.ascontiguousarray(hk),
+        hook_k=np.ascontiguousarray(hk, dtype=trussness.dtype),
         se_lo=np.ascontiguousarray(slo, dtype=edge_dt),
         se_hi=np.ascontiguousarray(shi, dtype=edge_dt),
-        se_k=np.ascontiguousarray(sk),
+        se_k=np.ascontiguousarray(sk, dtype=trussness.dtype),
         levels=levels,
         adj_indptr=adj_indptr,
         adj_neighbors=adj_neighbors,

@@ -298,7 +298,7 @@ def test_serial_context_has_no_shared_pool():
 @needs_fork
 def test_kernel_workers_run_in_process():
     from repro.triangles.support import _w_support_partial
-    from repro.truss.decompose import _w_decrement_partial, _w_frontier_chunk
+    from repro.truss.decompose import _w_decrement_partial
 
     pool = SharedArrayPool()
     try:
@@ -309,14 +309,6 @@ def test_kernel_workers_run_in_process():
         n = _w_support_partial(*handles, 0, 4, m, out_h, 0)
         assert n == 4
         assert np.array_equal(partials[0], 3 * np.bincount(uv, minlength=m))
-
-        sup = np.array([0, 5, 1, 7], dtype=np.int64)
-        alive = np.ones(4, dtype=bool)
-        _, sup_h = pool.share("sup", sup)
-        _, alive_h = pool.share("alive", alive)
-        frontier, f_h = pool.take("f", 4, np.int64)
-        count = _w_frontier_chunk(sup_h, alive_h, 1, 4, 2, f_h)
-        assert count == 1 and frontier[1] == 2  # absolute id, disjoint slice
 
         sides = np.array([3, 3, 1], dtype=np.int64)
         _, sides_h = pool.share("sides", sides)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils import sorting
-from repro.utils.sorting import stable_order, unique_sorted
+from repro.utils.sorting import group_offsets, stable_order, unique_counts, unique_sorted
 
 
 def _inputs():
@@ -34,6 +34,11 @@ def test_unique_sorted_equals_np_unique(a, bound):
     want = np.unique(a)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    values, counts = unique_counts(a)
+    want_values, want_counts = np.unique(a, return_counts=True)
+    for g, w in ((values, want_values), (counts, want_counts)):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("a,bound", _inputs())
@@ -42,6 +47,12 @@ def test_stable_order_equals_stable_argsort(a, bound):
     want = np.argsort(a, kind="stable")
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    if bound <= 1 << 20:  # the offsets hold bound + 1 entries
+        offsets = group_offsets(a, bound)
+        assert offsets.dtype == np.dtype(np.int64)
+        assert offsets.size == bound + 1 and offsets[0] == 0
+        # key k's positions are got[offsets[k]:offsets[k + 1]]
+        assert np.array_equal(a[got], np.repeat(np.arange(bound), np.diff(offsets)))
 
 
 def test_unique_sorted_flattens_like_np_unique():
