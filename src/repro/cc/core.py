@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.parallel.context import ExecutionContext
-from repro.utils.sorting import group_offsets, stable_order, unique_sorted
+from repro.utils.sorting import group_by, unique_sorted
 
 
 def _ensure(ctx) -> ExecutionContext:
@@ -138,16 +138,15 @@ def pairs_to_csr(num_nodes: int, a: np.ndarray, b: np.ndarray, index_dtype=None)
     shape Afforest's sampling needs. Returns ``(indptr, neighbors)``;
     ``index_dtype`` narrows both arrays (it must fit ``2 · |pairs|``).
     The 2·|pairs| directed entries are grouped by source node with
-    :func:`~repro.utils.sorting.stable_order`, so each node's neighbors
+    :func:`~repro.utils.sorting.group_by`, so each node's neighbors
     keep the order in which the node appears in ``a`` then ``b``.
     """
     if a.shape != b.shape:
         raise InvalidParameterError("pair arrays must have equal shape")
     dt = np.dtype(index_dtype) if index_dtype is not None else np.dtype(np.int64)
-    src = np.concatenate([a, b])
+    order, indptr = group_by(np.concatenate([a, b]), num_nodes)
     dst = np.concatenate([b, a]).astype(dt, copy=False)
-    indptr = group_offsets(src, num_nodes).astype(dt, copy=False)
-    return indptr, dst[stable_order(src, num_nodes)]
+    return indptr.astype(dt, copy=False), dst[order]
 
 
 def normalize_labels(comp: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import IndexIntegrityError, InvalidParameterError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
-from repro.utils.sorting import unique_sorted
+from repro.utils.sorting import group_by, unique_sorted
 
 
 def _as_int64(arr: np.ndarray) -> np.ndarray:
@@ -117,14 +117,11 @@ class EquiTrussIndex:
         edge_supernode[member] = rank[inv]
 
         sn_truss = trussness[uniq_roots][order]
-        # supernode -> member edges CSR (sorted by (sn, edge id))
+        # supernode -> member edges CSR (sorted by (sn, edge id)): the
+        # member ids ascend, so a stable group-by by supernode suffices
         member_ids = np.flatnonzero(member)
-        sn_of_member = edge_supernode[member_ids]
-        csr_order = np.lexsort((member_ids, sn_of_member))
+        csr_order, indptr = group_by(edge_supernode[member_ids], uniq_roots.size)
         sn_edges = member_ids[csr_order]
-        counts = np.bincount(sn_of_member, minlength=uniq_roots.size)
-        indptr = np.zeros(uniq_roots.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
 
         # remap superedges root ids -> dense ids, canonicalize, dedupe
         raw = np.asarray(raw_superedges, dtype=np.int64).reshape(-1, 2)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.triangles.enumerate import TriangleSet
-from repro.utils.sorting import stable_order
+from repro.utils.sorting import group_by
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,15 @@ def _triangle_columns(
     kmin = np.minimum(np.minimum(taus[0], taus[1]), taus[2])
     at_min = tuple(t == kmin for t in taus)
 
+    # each selection is taken as positions once: three gathers read it,
+    # and an integer gather is cheaper than a boolean-mask one
     hook_a, hook_b, hook_k = [], [], []
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        mask = at_min[i] & at_min[j]
-        if mask.any():
-            hook_a.append(sides[i][mask])
-            hook_b.append(sides[j][mask])
-            hook_k.append(kmin[mask])
+        pos = np.flatnonzero(at_min[i] & at_min[j])
+        if pos.size:
+            hook_a.append(sides[i][pos])
+            hook_b.append(sides[j][pos])
+            hook_k.append(kmin[pos])
 
     se_lo, se_hi, se_k = [], [], []
     for hi_ix in range(3):
@@ -152,11 +154,11 @@ def _triangle_columns(
         for lo_ix in range(3):
             if lo_ix == hi_ix:
                 continue
-            mask = above & at_min[lo_ix]
-            if mask.any():
-                se_lo.append(sides[lo_ix][mask])
-                se_hi.append(sides[hi_ix][mask])
-                se_k.append(taus[hi_ix][mask])
+            pos = np.flatnonzero(above & at_min[lo_ix])
+            if pos.size:
+                se_lo.append(sides[lo_ix][pos])
+                se_hi.append(sides[hi_ix][pos])
+                se_k.append(taus[hi_ix][pos])
     columns = []
     for parts in (hook_a, hook_b, hook_k, se_lo, se_hi, se_k):
         columns.append(_cat(parts))
@@ -198,9 +200,8 @@ def build_level_structures(
     """Sort and group the raw tables by level (the C-Optimal layout).
 
     Hook pairs are grouped by ``hook_k`` and superedge candidates by
-    ``se_k`` with :func:`~repro.utils.sorting.stable_order`: the keys
-    are trussness values, so below kmax = 2¹⁶ both group-bys are radix
-    sorts of 8- or 16-bit keys; either way they keep the raw table
+    ``se_k`` with :func:`~repro.utils.sorting.group_by`, a counting
+    sort over the kmax + 1 trussness values that keeps the raw table
     order within a level. ``levels`` is read off one table of kmax + 1
     flags: the populated trussness values ≥ 3 and every hook or
     candidate level.
@@ -215,18 +216,20 @@ def build_level_structures(
     ha, hb, hk, slo, shi, sk = _triangle_columns(triangles, trussness)[:6]
     present = np.bincount(trussness, minlength=3) > 0
     present[:3] = False
-    present[hk] = True
-    present[sk] = True
-    levels = np.flatnonzero(present)
     # a grouped k column is each level repeated by its count: no gather
     ks = np.arange(present.size, dtype=trussness.dtype)
-    order = stable_order(hk, present.size)
+    order, offsets = group_by(hk, present.size)
     ha, hb = ha[order], hb[order]
-    hk = np.repeat(ks, np.bincount(hk, minlength=present.size))
-    order = stable_order(sk, present.size)
+    counts = np.diff(offsets)
+    hk = np.repeat(ks, counts)
+    present |= counts > 0
+    order, offsets = group_by(sk, present.size)
     slo, shi = slo[order], shi[order]
-    sk = np.repeat(ks, np.bincount(sk, minlength=present.size))
-    del order
+    counts = np.diff(offsets)
+    sk = np.repeat(ks, counts)
+    present |= counts > 0
+    del order, offsets, counts
+    levels = np.flatnonzero(present)
     if ctx is not None:
         from repro.parallel.context import ExecutionContext
 

@@ -47,7 +47,7 @@ from repro.obs.trace import Tracer
 from repro.parallel.context import ExecutionContext
 from repro.triangles.enumerate import TriangleSet, enumerate_triangles
 from repro.truss.decompose import TrussDecomposition, truss_decomposition
-from repro.utils.sorting import group_offsets, stable_order
+from repro.utils.sorting import group_by
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,7 @@ def build_index(
         # --------------------------------------------- per-level SpNode/SpEdge
         # edge ids grouped by trussness once: Φ_k is the ascending slice
         # by_tau[offsets[k]:offsets[k + 1]]
-        by_tau = stable_order(tau, decomp.kmax + 1)
-        offsets = group_offsets(tau, decomp.kmax + 1)
+        by_tau, offsets = group_by(tau, decomp.kmax + 1)
         worker_subsets = None
         for k in levels_arr.tolist():
             phi_k = by_tau[offsets[k] : offsets[k + 1]]
@@ -228,13 +227,16 @@ def build_index(
                             ctx=ctx,
                         )
                 with ctx.region(SP_EDGE, work=0, rounds=0, intensity="mixed"):
-                    if ses_level is not None:
-                        se_lo, se_hi = ses_level
-                    else:
-                        se_lo, se_hi = levels.superedge_candidates(k)
+                    if ses_level is None:
+                        ses_level = levels.superedge_candidates(k)
                     worker_subsets = generate_superedges(
-                        comp, se_lo, se_hi, num_workers, worker_subsets, ctx=ctx
+                        comp, *ses_level, num_workers, worker_subsets, ctx=ctx
                     )
+        # nothing below reads the level tables or the triangles: record
+        # their sizes, then let them go (with the last level's views into
+        # them) before SmGraph, SpNodeRemap and the store write
+        mem = _publish_mem_gauges(graph, triangles, levels, comp, ctx)
+        levels = triangles = ses_level = None
 
         # ----------------------------------------------------------- SmGraph
         with ctx.region(SM_GRAPH, work=0, rounds=0, intensity="memory"):
@@ -246,7 +248,6 @@ def build_index(
         with ctx.region(SP_NODE_REMAP, work=graph.num_edges, intensity="memory"):
             index = EquiTrussIndex.from_parents(graph, tau, comp, raw_superedges)
 
-        mem = _publish_mem_gauges(graph, triangles, levels, comp, ctx)
         build_span.set(
             ws_peak=mem["repro.mem.workspace_high_water"],
             mem_bytes=sum(mem.values()),

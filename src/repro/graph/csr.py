@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.graph.edgelist import EdgeList
+from repro.utils.sorting import group_by
 
 
 def _check_edge_order(edge_order, u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -130,8 +131,9 @@ class CSRGraph:
         Fused single-pass Init: because the canonical edge list is
         already sorted by (u, v), the forward half of every row is in
         final order for free, and only the backward half needs a sort —
-        one stable ``argsort`` of the m destination ids instead of the
-        old 2m-element keyed (``src·N + dst``) sort. Row r's slots are
+        one counting group-by (:func:`~repro.utils.sorting.group_by`) of
+        the m destination ids instead of the old 2m-element keyed
+        (``src·N + dst``) sort. Row r's slots are
         ``[cnt_b[r] backward neighbors u < r ascending | forward
         neighbors v > r ascending]``, which is exactly the old build's
         sorted row, so the three arrays are bit-identical.
@@ -152,7 +154,7 @@ class CSRGraph:
         n, m = edges.num_vertices, edges.num_edges
         u, v = edges.u, edges.v
         if edge_order is None:
-            order = np.argsort(v, kind="stable")
+            order = group_by(v, n)[0]
         else:
             order = _check_edge_order(edge_order, u, v, n)
         cnt_f = np.bincount(u, minlength=n)

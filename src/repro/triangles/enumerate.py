@@ -4,21 +4,25 @@ The *forward* algorithm [Schank & Wagner 2005, cited as [37] in the
 paper]: orient every undirected edge from the endpoint of lower
 (degree, id) rank to the higher one. Each triangle {u, v, w} then
 appears exactly once as a pair of directed edges u→v, u→w plus the
-closing edge v→w. Enumeration is vectorized: for every directed edge
-(u, v) the candidate third vertices are N⁺(v), and membership of w in
-N⁺(u) is tested for the whole batch at once with one ``searchsorted``
-over the DAG's globally sorted (row·n + col) slot keys.
+closing edge v→w. The DAG is the graph's own CSR with the slots that
+point down the rank order dropped, so its rows stay sorted and no key
+is sorted. Enumeration is vectorized: for every directed edge (u, v)
+the candidate third vertices are N⁺(v), and membership of w in N⁺(u) is
+tested for the whole batch at once with one element lookup
+``dag[u, w]`` on a ``scipy.sparse.csr_array`` (a compiled binary search
+inside row u). The array stores each slot's edge id + 1, so the lookup
+returns the closing edge's id as well, and 0 where there is none.
 
 Work is O(Σ_(u,v) d⁺(v)) — the standard arboricity-bounded cost. Batches
 cap peak memory for large graphs.
 
 Under the process backend the slot selections are block-partitioned
 across the persistent worker pool: the DAG arrays are shared once
-(zero-copy ``multiprocessing.shared_memory``), each worker expands its
-contiguous slot range with the same batched kernel and appends its
-triple buffers to shared memory, and the coordinator concatenates the
-per-worker parts *in worker order* — producing bit-identical output to
-the serial batch loop.
+(zero-copy ``multiprocessing.shared_memory``), each worker wraps them
+in a ``csr_array``, expands its contiguous slot range with the same
+batched kernel and appends its triple buffers to shared memory, and the
+coordinator concatenates the per-worker parts *in worker order* —
+producing bit-identical output to the serial batch loop.
 """
 
 from __future__ import annotations
@@ -94,26 +98,29 @@ def _degree_ordered_dag(graph: CSRGraph):
 
     Returns (indptr, heads, slot_eids, tails_per_slot) where rows are
     original vertex ids, columns sorted ascending, and ``slot_eids``
-    carries the canonical undirected edge id of each directed slot.
+    carries the canonical undirected edge id of each directed slot. The
+    graph's CSR rows are already sorted, so keeping each row's slots
+    that point up the rank order gives the DAG rows in order.
     """
     n = graph.num_vertices
     deg = graph.degrees()
     # rank[u] < rank[v]  <=>  (deg[u], u) < (deg[v], v)
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((np.arange(n), deg))] = np.arange(n, dtype=np.int64)
-
-    u, v = graph.edges.u, graph.edges.v
-    u_first = rank[u] < rank[v]
-    tails = np.where(u_first, u, v)
-    heads = np.where(u_first, v, u)
-    eids = np.arange(graph.num_edges, dtype=np.int64)
-
-    order = np.argsort(tails * np.int64(max(n, 1)) + heads, kind="stable")
-    tails, heads, eids = tails[order], heads[order], eids[order]
-    counts = np.bincount(tails, minlength=n)
+    tails = np.repeat(np.arange(n, dtype=graph.indices.dtype), deg)
+    up = rank[tails] < rank[graph.indices]
+    tails = tails[up]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, heads, eids, tails
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return indptr, graph.indices[up], graph.edge_ids[up], tails
+
+
+def _dag_array(indptr: np.ndarray, heads: np.ndarray, slot_data: np.ndarray):
+    """The DAG as an n × n ``csr_array`` holding ``slot_data`` (edge id + 1)."""
+    from scipy.sparse import csr_array
+
+    n = indptr.size - 1
+    return csr_array((slot_data, heads, indptr), shape=(n, n))
 
 
 def _expand_selection(
@@ -122,8 +129,7 @@ def _expand_selection(
     slot_eids: np.ndarray,
     tails: np.ndarray,
     outdeg: np.ndarray,
-    slot_keys: np.ndarray,
-    n: int,
+    dag,
     slot_sel: np.ndarray,
     from_head: bool,
     batch_slots: int,
@@ -133,9 +139,9 @@ def _expand_selection(
     The shared batched kernel behind both the serial loop and the
     process-backend workers. Output parts concatenate in slot-selection
     order, so any contiguous partitioning of ``slot_sel`` reproduces the
-    full run's triple order exactly.
+    full run's triple order exactly. ``dag`` is :func:`_dag_array` of
+    the same arrays.
     """
-    num_slots = heads.size
     parts_uv: list[np.ndarray] = []
     parts_uw: list[np.ndarray] = []
     parts_vw: list[np.ndarray] = []
@@ -154,17 +160,17 @@ def _expand_selection(
         w_pos = np.repeat(indptr[expand] - (ends - counts), counts)
         w_pos += np.arange(total, dtype=w_pos.dtype)
         w = heads[w_pos]
-        # Membership: is (other, w) a DAG edge?  One searchsorted.
-        q = np.repeat(other, counts) * slot_keys.dtype.type(max(n, 1)) + w
-        pos = np.searchsorted(slot_keys, q)
-        pos_c = np.minimum(pos, max(num_slots - 1, 0))
-        found = slot_keys[pos_c] == q
-        if not np.any(found):
+        # Membership: is (other, w) a DAG edge?  One lookup, which
+        # returns that edge's id + 1, or 0 where there is no edge.
+        closing = dag[np.repeat(other, counts), w]
+        # positions, not a mask: three gathers read it
+        found = np.flatnonzero(closing)
+        if found.size == 0:
             continue
         slot_rep = np.repeat(slots, counts)[found]
         e_pivot = slot_eids[slot_rep]           # edge (u, v)
         e_from_expand = slot_eids[w_pos[found]]  # edge (expand, w)
-        e_from_other = slot_eids[pos_c[found]]   # edge (other, w)
+        e_from_other = closing[found] - 1       # edge (other, w)
         parts_uv.append(e_pivot)
         if from_head:
             # expanded from v: (v, w) is the closing edge, (u, w) = other side
@@ -186,26 +192,25 @@ def _w_enumerate_chunk(
     eids_h,
     tails_h,
     outdeg_h,
-    keys_h,
+    data_h,
     sel_h,
     lo: int,
     hi: int,
     from_head: bool,
     batch_slots: int,
-    n: int,
 ):
     """Process-pool worker: expand slots ``sel[lo:hi]``, export triples."""
     from repro.parallel.shm import attach, export_array
 
     sel = attach(sel_h)[lo:hi]
+    indptr, heads = attach(indptr_h), attach(heads_h)
     parts = _expand_selection(
-        attach(indptr_h),
-        attach(heads_h),
+        indptr,
+        heads,
         attach(eids_h),
         attach(tails_h),
         attach(outdeg_h),
-        attach(keys_h),
-        n,
+        _dag_array(indptr, heads, attach(data_h)),
         sel,
         from_head,
         batch_slots,
@@ -221,8 +226,7 @@ def _enumerate_process(
     slot_eids,
     tails,
     outdeg,
-    slot_keys,
-    n,
+    slot_data,
     selections,
     batch_slots,
 ):
@@ -252,7 +256,7 @@ def _enumerate_process(
             ("enum.eids", slot_eids),
             ("enum.tails", tails),
             ("enum.outdeg", outdeg),
-            ("enum.keys", slot_keys),
+            ("enum.data", slot_data),
         )
     ]
     parts_uv: list[np.ndarray] = []
@@ -267,7 +271,7 @@ def _enumerate_process(
         wedges = outdeg[heads[sel] if from_head else tails[sel]]
         ranges = ctx.partition_ranges(sel.size, weights=wedges)
         tasks = [
-            (*handles, sel_h, lo, hi, from_head, batch_slots, n)
+            (*handles, sel_h, lo, hi, from_head, batch_slots)
             for lo, hi in ranges
         ]
         results = backend.map_tasks(
@@ -292,11 +296,12 @@ def enumerate_triangles(
 
     ``batch_slots`` bounds how many directed edges are expanded per
     vectorized batch (peak temporary memory ≈ batch wedge count). The
-    edge-id triples are stored in the dtype of ``ctx``'s policy (falling
-    back to the graph's own index dtype) — they are the biggest derived
-    arrays of the pipeline, so narrowing them matters most. The batch
-    arithmetic runs in int32 whenever the slot keys and wedge offsets
-    fit, whatever the policy; that never changes the output.
+    edge-id triples are stored in the edge dtype of ``ctx``'s policy
+    (the auto policy without a ``ctx``, as every other kernel) — they
+    are the biggest derived arrays of the pipeline, so narrowing them
+    matters most. The batch arithmetic runs in int32 whenever the ids
+    and wedge offsets fit, whatever the policy; that never changes the
+    output.
 
     When ``ctx`` runs the process backend with multiple workers (and the
     graph clears the backend's ``min_items`` floor), expansion fans out
@@ -306,23 +311,20 @@ def enumerate_triangles(
     check_positive("batch_slots", batch_slots)
     from repro.parallel.context import ExecutionContext, fits_int32
 
-    if ctx is not None:
-        ctx = ExecutionContext.ensure(ctx)
-        out_dtype = ctx.edge_dtype(graph.num_edges)
-    else:
-        out_dtype = graph.index_dtype
+    ctx = ExecutionContext.ensure(ctx)
+    out_dtype = ctx.edge_dtype(graph.num_edges)
     n = graph.num_vertices
     indptr, heads, slot_eids, tails = _degree_ordered_dag(graph)
     num_slots = heads.size
     outdeg = np.diff(indptr)
-    # Per-batch index and key arithmetic runs in int32 when it holds
-    # every slot key (< n²), slot id and in-batch wedge offset.
-    bound = max(n * n, num_slots, batch_slots * int(outdeg.max(initial=0)))
+    # Per-batch index arithmetic runs in int32 when it holds every
+    # vertex id, edge id + 1 and in-batch wedge offset.
+    bound = max(n, num_slots + 1, batch_slots * int(outdeg.max(initial=0)))
     dt = np.dtype(np.int32 if fits_int32(bound) else np.int64)
     indptr, heads, slot_eids, tails, outdeg = (
         a.astype(dt, copy=False) for a in (indptr, heads, slot_eids, tails, outdeg)
     )
-    slot_keys = tails * dt.type(max(n, 1)) + heads  # strictly increasing
+    slot_data = slot_eids + dt.type(1)  # 0 stays free for "no edge"
 
     # For each DAG edge (u, v) we may expand either N⁺(v) (testing w
     # against N⁺(u)) or N⁺(u) (testing against N⁺(v)); both find the same
@@ -341,14 +343,15 @@ def enumerate_triangles(
     if backend is not None:
         parts_uv, parts_uw, parts_vw = _enumerate_process(
             backend, ctx, indptr, heads, slot_eids, tails, outdeg,
-            slot_keys, n, selections, batch_slots,
+            slot_data, selections, batch_slots,
         )
     else:
+        dag = _dag_array(indptr, heads, slot_data)
         parts_uv, parts_uw, parts_vw = [], [], []
         for sel, from_head in selections:
             uv, uw, vw = _expand_selection(
-                indptr, heads, slot_eids, tails, outdeg, slot_keys,
-                n, sel, from_head, batch_slots,
+                indptr, heads, slot_eids, tails, outdeg, dag,
+                sel, from_head, batch_slots,
             )
             parts_uv.extend(uv)
             parts_uw.extend(uw)

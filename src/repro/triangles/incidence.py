@@ -3,10 +3,10 @@
 The truss-peeling kernel needs, for each edge, the ids of every triangle
 it participates in (to cascade support decrements when the edge is
 removed). This builds that mapping from a :class:`TriangleSet` with one
-stable group-by of the 3t (edge, triangle) incidences by edge id
-(:func:`~repro.utils.sorting.stable_order`): each edge's triangle ids
-keep their order in the concatenated ``e_uv``, ``e_uw``, ``e_vw``
-columns.
+counting group-by of the 3t (edge, triangle) incidences by edge id
+(:func:`~repro.utils.sorting.group_by`, a COO→CSR conversion): each
+edge's triangle ids keep their order in the concatenated ``e_uv``,
+``e_uw``, ``e_vw`` columns.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.triangles.enumerate import TriangleSet
-from repro.utils.sorting import group_offsets, stable_order
+from repro.utils.sorting import group_by
 
 
 class EdgeTriangleIncidence:
@@ -39,9 +39,11 @@ class EdgeTriangleIncidence:
             dt = np.dtype(np.int64)
         eids = np.concatenate([triangles.e_uv, triangles.e_uw, triangles.e_vw])
         # incidence position p belongs to triangle p mod t
-        tids = stable_order(eids, m).astype(dt, copy=False)
+        order, indptr = group_by(eids, m)
+        del eids
+        tids = order.astype(dt, copy=False)
         tids %= max(t, 1)
-        self.indptr = group_offsets(eids, m).astype(dt, copy=False)
+        self.indptr = indptr.astype(dt, copy=False)
         self.tri_ids = tids
         self.num_edges = m
         self._tri = triangles

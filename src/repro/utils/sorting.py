@@ -10,17 +10,22 @@ the kernels around them:
   :func:`unique_sorted` and :func:`unique_counts` do; they return the
   same sorted arrays.
 * ``np.argsort(a, kind="stable")`` on 32- and 64-bit integers is a
-  timsort. :func:`stable_order` gets the identical permutation from the
-  vectorized ``np.sort`` of unique composite keys, or, for keys that
-  fit 8 or 16 bits, from the radix sort NumPy runs on those dtypes;
-  :func:`group_offsets` gives the CSR offsets of its groups.
+  timsort, yet every build group-by has keys in a known range
+  ``[0, bound)``. :func:`group_by` groups them by counting instead: it
+  is scipy.sparse's compiled COO→CSR conversion of the matrix with a
+  one at ``(key, position)``, whose ``indices`` are exactly the stable
+  argsort and whose ``indptr`` are the groups' offsets.
+
+``scipy.sparse`` is imported inside :func:`group_by` only: the serve
+stack imports this module and never groups, and the import costs about
+22 MB resident.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_INT64_LIMIT = 1 << 63
+_I32_MAX = np.iinfo(np.int32).max
 
 
 def _run_starts(s: np.ndarray) -> np.ndarray:
@@ -44,38 +49,25 @@ def unique_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[starts], np.diff(starts, append=s.size)
 
 
-def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+def group_by(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable group-by of integer keys in ``[0, bound)``: ``(order, offsets)``.
 
-    Keys below 2¹⁶ are cast to the smallest unsigned dtype that holds
-    ``bound - 1``, which NumPy stable-sorts with a radix sort. Larger
-    keys are packed as ``key << b | position`` with ``2**b ≥ len(keys)``:
-    the packed values are distinct, so their plain ascending sort is
-    exactly the stable order, and the low ``b`` bits give the position
-    back. If the packed value would not fit an int64 the plain stable
-    argsort runs instead.
+    ``order`` equals ``np.argsort(keys, kind="stable")`` and ``offsets``
+    are the ``bound + 1`` CSR offsets of its groups (``bincount`` then
+    ``cumsum``): key ``k``'s positions are ``order[offsets[k]:offsets[k
+    + 1]]``, ascending. The offsets are allocated for every key value,
+    so ``bound`` must be a table size, not a hash range. Both arrays are
+    int32 when ``len(keys)`` and ``bound`` fit it, else int64.
     """
-    small = np.min_scalar_type(max(bound - 1, 0))
-    if small.itemsize <= 2:
-        return np.argsort(keys.astype(small), kind="stable")
+    from scipy.sparse import coo_array
+
     n = keys.size
-    shift = max(n - 1, 0).bit_length()
-    if bound << shift > _INT64_LIMIT:
-        return np.argsort(keys, kind="stable")
-    packed = keys.astype(np.int64)
-    packed <<= shift
-    packed |= np.arange(n, dtype=np.int64)
-    packed.sort()
-    packed &= (1 << shift) - 1
-    return packed
-
-
-def group_offsets(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``int64[bound + 1]`` CSR offsets of integer keys in ``[0, bound)``.
-
-    Key ``k``'s positions are ``stable_order(keys, bound)[offsets[k]:
-    offsets[k + 1]]``.
-    """
-    offsets = np.zeros(bound + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=bound), out=offsets[1:])
-    return offsets
+    dt = np.int32 if max(n, bound) <= _I32_MAX else np.int64
+    positions = np.arange(n, dtype=dt)
+    if n == 0:  # scipy would return its own index dtype
+        return positions, np.zeros(bound + 1, dtype=dt)
+    csr = coo_array(
+        (np.ones(n, dtype=bool), (keys.astype(dt, copy=False), positions)),
+        shape=(bound, n),
+    ).tocsr()
+    return csr.indices, csr.indptr

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils import sorting
-from repro.utils.sorting import group_offsets, stable_order, unique_counts, unique_sorted
+from repro.utils.sorting import group_by, unique_counts, unique_sorted
 
 
 def _inputs():
@@ -28,6 +27,20 @@ def _inputs():
     return [pytest.param(a, bound, id=label) for label, a, bound in cases]
 
 
+def _check_group_by(keys, bound):
+    """``group_by`` equals the stable argsort plus ``bincount`` + ``cumsum``."""
+    order, offsets = group_by(keys, bound)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    want = np.zeros(bound + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=bound), out=want[1:])
+    assert offsets.size == bound + 1
+    assert np.array_equal(offsets, want)
+    for arr in (order, offsets):
+        assert arr.dtype in (np.dtype(np.int32), np.dtype(np.int64))
+    # key k's positions are order[offsets[k]:offsets[k + 1]]
+    assert np.array_equal(keys[order], np.repeat(np.arange(bound), np.diff(offsets)))
+
+
 @pytest.mark.parametrize("a,bound", _inputs())
 def test_unique_sorted_equals_np_unique(a, bound):
     got = unique_sorted(a)
@@ -41,67 +54,50 @@ def test_unique_sorted_equals_np_unique(a, bound):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("a,bound", _inputs())
+# group_by allocates bound + 1 offsets, so the wide-bound cases stay out
+@pytest.mark.parametrize(
+    "a,bound", [p for p in _inputs() if p.values[1] <= 1 << 20]
+)
 def test_stable_order_equals_stable_argsort(a, bound):
-    got = stable_order(a, bound)
-    want = np.argsort(a, kind="stable")
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-    if bound <= 1 << 20:  # the offsets hold bound + 1 entries
-        offsets = group_offsets(a, bound)
-        assert offsets.dtype == np.dtype(np.int64)
-        assert offsets.size == bound + 1 and offsets[0] == 0
-        # key k's positions are got[offsets[k]:offsets[k + 1]]
-        assert np.array_equal(a[got], np.repeat(np.arange(bound), np.diff(offsets)))
-
-
-def test_unique_sorted_flattens_like_np_unique():
-    a = np.array([[3, 1], [1, 2]], dtype=np.int64)
-    assert np.array_equal(unique_sorted(a), np.unique(a))
-
-
-def test_stable_order_falls_back_when_packing_overflows(monkeypatch):
-    a = np.random.default_rng(3).integers(0, 50, 1000).astype(np.int64)
-    calls = []
-    real = np.argsort
-
-    def spy(keys, *args, **kwargs):
-        calls.append(keys.dtype)
-        return real(keys, *args, **kwargs)
-
-    monkeypatch.setattr(sorting.np, "argsort", spy)
-    # 1000 positions take 10 low bits, so a bound of 2**54 packs past
-    # 2**63; the helper must take the plain stable argsort of the keys
-    got = stable_order(a, 2**54)
-    assert calls == [np.dtype(np.int64)]
-    assert np.array_equal(got, real(a, kind="stable"))
-    # one bit less fits exactly: the largest key packs to 2**63 - 1 and
-    # the packed sort runs without any argsort
-    b = a.copy()
-    b[0] = 2**53 - 1
-    calls.clear()
-    assert np.array_equal(stable_order(b, 2**53), real(b, kind="stable"))
-    assert calls == []
+    """The stable order ``group_by`` returns is the stable argsort."""
+    _check_group_by(a, bound)
 
 
 @pytest.mark.parametrize(
     "kmax,dtype",
     [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, None)],
 )
-def test_stable_order_small_keys_across_dtype_boundaries(kmax, dtype, monkeypatch):
+def test_stable_order_small_keys_across_dtype_boundaries(kmax, dtype):
+    """Trussness keys arrive as the narrowest unsigned dtype holding kmax."""
     rng = np.random.default_rng(kmax)
-    keys = rng.integers(0, kmax + 1, 20_000).astype(np.int64)
+    keys = rng.integers(0, kmax + 1, 20_000).astype(dtype or np.int64)
     keys[:3] = (0, kmax, kmax)  # both ends of the range are present
-    calls = []
-    real = np.argsort
+    _check_group_by(keys, kmax + 1)
 
-    def spy(k, *args, **kwargs):
-        calls.append(k.dtype)
-        return real(k, *args, **kwargs)
 
-    monkeypatch.setattr(sorting.np, "argsort", spy)
-    got = stable_order(keys, kmax + 1)
-    assert np.array_equal(got, real(keys, kind="stable"))
-    # kmax < 2**16 radix-sorts the narrowed keys; past it the packed sort
-    # runs and no argsort is called
-    assert calls == ([] if dtype is None else [np.dtype(dtype)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+@pytest.mark.parametrize(
+    "shape", ["empty", "bound_1", "all_equal", "top_key", "random"]
+)
+def test_group_by_key_dtypes(dtype, shape):
+    rng = np.random.default_rng(11)
+    bound = 200
+    keys = {
+        "empty": np.empty(0),
+        "bound_1": np.zeros(50),
+        "all_equal": np.full(300, 17),
+        "top_key": np.full(40, bound - 1),
+        "random": rng.integers(0, bound, 3000),
+    }[shape].astype(dtype)
+    _check_group_by(keys, 1 if shape == "bound_1" else bound)
+
+
+def test_group_by_empty_bound_zero():
+    order, offsets = group_by(np.empty(0, np.int64), 0)
+    assert order.size == 0
+    assert np.array_equal(offsets, [0])
+
+
+def test_unique_sorted_flattens_like_np_unique():
+    a = np.array([[3, 1], [1, 2]], dtype=np.int64)
+    assert np.array_equal(unique_sorted(a), np.unique(a))
