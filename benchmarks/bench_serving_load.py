@@ -246,7 +246,8 @@ def main(argv: list[str] | None = None) -> int:
                 json.dumps(final_stats, indent=2, sort_keys=True),
                 encoding="utf-8",
             )
-            shutil.copy2(path, art / path.name)
+            if path.parent.resolve() != art.resolve():  # --out may point here
+                shutil.copy2(path, art / path.name)
             print(f"artifacts -> {art}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

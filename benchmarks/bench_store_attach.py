@@ -243,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         art = Path(args.artifacts_dir)
         art.mkdir(parents=True, exist_ok=True)
         shutil.copy2(store_path, art / store_path.name)
-        shutil.copy2(path, art / path.name)
+        if path.parent.resolve() != art.resolve():  # --out may point here
+            shutil.copy2(path, art / path.name)
         print(f"artifacts -> {art}")
 
     shutil.rmtree(workdir, ignore_errors=True)

@@ -236,11 +236,11 @@ class CSRGraph:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the CSR arrays plus the canonical edge list."""
+        """Bytes held by the CSR arrays, the edge list and built key arrays."""
         total = self.indptr.nbytes + self.indices.nbytes + self.edge_ids.nbytes
         total += self.edges.u.nbytes + self.edges.v.nbytes
-        if self._slot_keys is not None:
-            total += self._slot_keys.nbytes
+        lazy = (self._slot_keys, self.edges._keys)
+        total += sum(a.nbytes for a in lazy if a is not None)
         return int(total)
 
     def degrees(self) -> np.ndarray:

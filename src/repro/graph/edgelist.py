@@ -6,10 +6,10 @@ position of a pair in this ordering is the edge's *dense id* — the
 identifier used everywhere else in the library (trussness arrays, parent
 component arrays, triangle triples all index by edge id).
 
-Fast id lookup uses the *keyed searchsorted* trick: because pairs are
-sorted lexicographically, the scalar key ``u * num_vertices + v`` is
-strictly increasing, so a batch of (u, v) queries resolves to ids with a
-single :func:`numpy.searchsorted` call.
+Fast id lookup uses the *keyed searchsorted* trick: pairs are sorted
+lexicographically, so the key ``u * num_vertices + v`` strictly increases
+and one :func:`numpy.searchsorted` resolves a batch of (u, v) queries. The
+keys are built on the first lookup, never by the constructor.
 """
 
 from __future__ import annotations
@@ -50,20 +50,22 @@ class EdgeList:
                 raise GraphConstructionError(
                     f"vertex id {int(v.max())} >= num_vertices={num_vertices}"
                 )
-            if not np.all(u < v):
+            if not np.less(u, v).all():
                 raise GraphConstructionError("edges must be canonical (u < v)")
-        keys = u * np.int64(num_vertices) + v
-        if u.size and not np.all(np.diff(keys) > 0):
-            raise GraphConstructionError(
-                "edges must be sorted by (u, v) and free of duplicates"
-            )
+            # (u, v) strictly increasing, i.e. u·n + v without the keys
+            ordered = u[1:] == u[:-1]
+            ordered &= v[1:] > v[:-1]
+            ordered |= u[1:] > u[:-1]
+            if not ordered.all():
+                raise GraphConstructionError(
+                    "edges must be sorted by (u, v) and free of duplicates"
+                )
         self.u = u
         self.v = v
         self.num_vertices = int(num_vertices)
-        self._keys = keys
+        self._keys: np.ndarray | None = None
         self.u.setflags(write=False)
         self.v.setflags(write=False)
-        self._keys.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -98,7 +100,10 @@ class EdgeList:
     # ------------------------------------------------------------------
     @property
     def keys(self) -> np.ndarray:
-        """Strictly increasing scalar key ``u * n + v`` per edge."""
+        """Strictly increasing key ``u * n + v`` per edge (read-only, lazy)."""
+        if self._keys is None:
+            self._keys = self.u * np.int64(self.num_vertices) + self.v
+            self._keys.setflags(write=False)
         return self._keys
 
     def edge_ids(self, qu: np.ndarray, qv: np.ndarray, strict: bool = True) -> np.ndarray:
@@ -113,22 +118,16 @@ class EdgeList:
         lo = np.minimum(qu, qv)
         hi = np.maximum(qu, qv)
         key = lo * np.int64(self.num_vertices) + hi
-        pos = np.searchsorted(self._keys, key)
-        pos_clipped = np.minimum(pos, max(self.num_edges - 1, 0))
-        if self.num_edges == 0:
-            found = np.zeros(key.shape, dtype=bool)
-        else:
-            found = self._keys[pos_clipped] == key
-        if strict:
-            if not np.all(found):
-                bad = np.argwhere(~found).ravel()
-                i = int(bad[0])
-                raise EdgeNotFoundError(
-                    f"edge ({int(lo.flat[i])}, {int(hi.flat[i])}) not in graph"
-                )
-            return pos
-        out = np.where(found, pos_clipped, -1)
-        return out
+        keys = self.keys
+        pos = np.searchsorted(keys, key)
+        pos_clipped = np.minimum(pos, max(keys.size - 1, 0))
+        found = keys[pos_clipped] == key if keys.size else np.zeros(key.shape, bool)
+        if strict and not found.all():
+            i = int(np.flatnonzero(~found)[0])
+            raise EdgeNotFoundError(
+                f"edge ({int(lo.flat[i])}, {int(hi.flat[i])}) not in graph"
+            )
+        return pos if strict else np.where(found, pos_clipped, -1)
 
     def edge_id(self, a: int, b: int) -> int:
         """Scalar edge-id lookup; raises :class:`EdgeNotFoundError` if absent."""
@@ -155,10 +154,7 @@ class EdgeList:
         canonical edge list over the same vertex set.
         """
         sel = np.asarray(mask_or_ids)
-        if sel.dtype == bool:
-            ids = np.flatnonzero(sel)
-        else:
-            ids = np.sort(sel.astype(np.int64))
+        ids = np.flatnonzero(sel) if sel.dtype == bool else np.sort(sel.astype(np.int64))
         return EdgeList(self.u[ids], self.v[ids], self.num_vertices)
 
     def degrees(self) -> np.ndarray:

@@ -148,7 +148,11 @@ def truss_decomposition(
     m = graph.num_edges
     with ctx.region("TrussDecomp", work=0, rounds=0, intensity="memory"):
         inc = EdgeTriangleIncidence(triangles, ctx=ctx)
-        sup = parallel_support(triangles, ctx, dtype=np.int64)
+        if active_process_backend(ctx, triangles.count) is None:  # serial
+            metrics.inc("repro.triangles.support_updates", 3 * triangles.count)
+            sup = inc.degree().astype(np.int64)  # row lengths = support
+        else:
+            sup = parallel_support(triangles, ctx, dtype=np.int64)
         support0 = sup.copy()
         tau = np.full(m, 2, dtype=np.int64)
         alive_e = np.ones(m, dtype=bool)
