@@ -21,18 +21,18 @@ from repro.graph.edgelist import EdgeList
 from repro.utils.sorting import group_by, unique_sorted
 
 
-def _as_int64(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as contiguous int64 — aliasing, never copying, when the
-    input already satisfies the contract.
+def _as_index_array(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a contiguous int32 or int64 array — aliasing, never
+    copying, when the input already is one.
 
     This is the zero-copy guarantee the mmap attach path depends on: a
-    read-only int64 view into a mapped store file must flow into the
-    index *as that view* so N attached processes share one page-cache
-    copy. Only dtype or layout mismatches (legacy callers passing
-    int32 or strided arrays) pay for a conversion.
+    read-only view into a mapped store file, int32 in a narrow store,
+    must flow into the index *as that view* so N attached processes
+    share one page-cache copy. Other dtypes and strided arrays are
+    converted to int64.
     """
     a = np.asarray(arr)
-    if a.dtype == np.int64 and a.flags["C_CONTIGUOUS"]:
+    if a.dtype in (np.int32, np.int64) and a.flags["C_CONTIGUOUS"]:
         return a
     return np.ascontiguousarray(a, dtype=np.int64)
 
@@ -55,6 +55,9 @@ class EquiTrussIndex:
         CSR mapping supernode id → sorted member edge ids.
     superedges:
         ``int64[SE, 2]`` canonical dense-id pairs.
+
+    A build returns int64 arrays; an index attached from a narrow store
+    holds int32 views into the mapping instead.
     """
 
     __slots__ = (
@@ -79,12 +82,12 @@ class EquiTrussIndex:
         superedges: np.ndarray,
     ) -> None:
         self.graph = graph
-        self.trussness = _as_int64(trussness)
-        self.edge_supernode = _as_int64(edge_supernode)
-        self.supernode_trussness = _as_int64(supernode_trussness)
-        self.supernode_indptr = _as_int64(supernode_indptr)
-        self.supernode_edges = _as_int64(supernode_edges)
-        self.superedges = _as_int64(superedges).reshape(-1, 2)
+        self.trussness = _as_index_array(trussness)
+        self.edge_supernode = _as_index_array(edge_supernode)
+        self.supernode_trussness = _as_index_array(supernode_trussness)
+        self.supernode_indptr = _as_index_array(supernode_indptr)
+        self.supernode_edges = _as_index_array(supernode_edges)
+        self.superedges = _as_index_array(superedges).reshape(-1, 2)
         self._sn_adj: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -105,6 +108,8 @@ class EquiTrussIndex:
         (already deduplicated or not — duplicates are removed here).
         """
         m = graph.num_edges
+        # a built index is int64 throughout, whatever the kernels' dtypes
+        trussness = np.asarray(trussness, dtype=np.int64)
         member = trussness >= 3
         roots = parents[member]
         uniq_roots, inv = np.unique(roots, return_inverse=True)
@@ -141,7 +146,7 @@ class EquiTrussIndex:
             trussness=trussness,
             edge_supernode=edge_supernode,
             supernode_trussness=sn_truss,
-            supernode_indptr=indptr,
+            supernode_indptr=indptr.astype(np.int64, copy=False),
             supernode_edges=sn_edges,
             superedges=superedges,
         )

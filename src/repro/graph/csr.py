@@ -99,7 +99,8 @@ class CSRGraph:
         dt = np.dtype(index_dtype) if index_dtype is not None else np.dtype(np.int64)
         if dt not in (np.dtype(np.int32), np.dtype(np.int64)):
             raise GraphConstructionError(f"index dtype must be int32/int64, got {dt}")
-        if dt == np.dtype(np.int32) and max(edges.num_vertices + 1, 2 * edges.num_edges) > np.iinfo(np.int32).max:
+        # no CSR value exceeds max(n - 1, 2m): the bound a store's dtype obeys
+        if dt == np.dtype(np.int32) and max(edges.num_vertices, 2 * edges.num_edges) > np.iinfo(np.int32).max:
             raise GraphConstructionError(
                 f"graph with {edges.num_vertices} vertices / {edges.num_edges} "
                 "edges does not fit int32 indices"

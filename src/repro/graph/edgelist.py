@@ -20,6 +20,18 @@ from repro.errors import EdgeNotFoundError, GraphConstructionError
 from repro.utils.validation import check_array_1d
 
 
+def _endpoint_array(name: str, arr) -> np.ndarray:
+    """Integer endpoints, checked before any cast: int32 and int64 pass
+    through without a copy, other integer kinds become int64, and float
+    or bool input is rejected rather than truncated. An empty array has
+    nothing to truncate, so ``np.empty(0)`` is accepted as no edges."""
+    a = np.asarray(arr)
+    a = check_array_1d(name, a, "iu" if a.size else None)
+    if a.dtype in (np.int32, np.int64):
+        return np.ascontiguousarray(a)
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
 class EdgeList:
     """Immutable canonical undirected edge list.
 
@@ -32,13 +44,16 @@ class EdgeList:
         input; this constructor validates but does not repair.
     num_vertices:
         Number of vertices; must exceed ``max(v)``.
+
+    int32 and int64 endpoints are kept as given (an attached store maps
+    int32 ones); other integer dtypes are widened to int64.
     """
 
     __slots__ = ("u", "v", "num_vertices", "_keys")
 
     def __init__(self, u: np.ndarray, v: np.ndarray, num_vertices: int) -> None:
-        u = check_array_1d("u", np.ascontiguousarray(u, dtype=np.int64), "iu")
-        v = check_array_1d("v", np.ascontiguousarray(v, dtype=np.int64), "iu")
+        u = _endpoint_array("u", u)
+        v = _endpoint_array("v", v)
         if u.shape != v.shape:
             raise GraphConstructionError(
                 f"endpoint arrays differ in length: {u.shape} vs {v.shape}"
@@ -93,7 +108,12 @@ class EdgeList:
         )
 
     def __hash__(self) -> int:  # EdgeLists are immutable
-        return hash((self.num_vertices, self.u.tobytes(), self.v.tobytes()))
+        # lists equal across dtypes must hash alike: hash the int64 values
+        return hash((
+            self.num_vertices,
+            self.u.astype(np.int64, copy=False).tobytes(),
+            self.v.astype(np.int64, copy=False).tobytes(),
+        ))
 
     # ------------------------------------------------------------------
     # Lookup

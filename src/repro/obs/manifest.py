@@ -54,19 +54,27 @@ def git_sha(cwd=None) -> str | None:
     return sha or None
 
 
+#: Elements hashed per block by :func:`dataset_fingerprint`.
+_FINGERPRINT_BLOCK = 1 << 20
+
+
 def dataset_fingerprint(graph, name: str | None = None) -> dict:
     """Content identity of an input graph: sizes + edge-array sha256.
 
     Accepts a :class:`~repro.graph.csr.CSRGraph` (hashes its canonical
-    edge list) or anything with ``u``/``v`` arrays. The hash covers the
-    raw bytes of both endpoint arrays, so a re-generated dataset with
-    identical edges fingerprints identically regardless of file path.
+    edge list) or anything with ``u``/``v`` arrays. The hash covers both
+    endpoint arrays as int64 little-endian values, whatever their dtype,
+    so a re-generated dataset with identical edges fingerprints
+    identically regardless of file path, and a narrow (int32) mapped
+    graph matches the int64 one it was written from.
     """
     edges = getattr(graph, "edges", graph)
-    u, v = edges.u, edges.v
     digest = hashlib.sha256()
-    digest.update(u.tobytes())
-    digest.update(v.tobytes())
+    for arr in (edges.u, edges.v):
+        # bounded blocks: a narrow array is widened one block at a time
+        for lo in range(0, arr.size, _FINGERPRINT_BLOCK):
+            block = arr[lo : lo + _FINGERPRINT_BLOCK]
+            digest.update(np.ascontiguousarray(block, dtype="<i8"))
     return {
         "name": name,
         "vertices": int(getattr(graph, "num_vertices", edges.num_vertices)),

@@ -169,7 +169,9 @@ class QueryEngine:
         level = self.components.resolve_level(k)
         if level is None:  # pragma: no cover - anchors imply a level exists
             return []
-        roots = np.unique(self.components.labels(level)[anchors])
+        # anchors have τ ≥ k, hence τ ≥ level: all inside the suffix
+        first, labels = self.components.suffix(level)
+        roots = np.unique(labels[anchors - first])
         if sp is not None:
             sp.attrs["work"] += int(anchors.size)
         communities = [
@@ -254,7 +256,8 @@ class QueryEngine:
             sns, owner = sns[keep], owner[keep]
         if sns.size == 0:
             return
-        labels = self.components.labels(level)[sns]
+        first, suffix = self.components.suffix(level)
+        labels = suffix[sns - first]
         span = np.int64(max(self.index.num_supernodes, 1))
         pair_keys = np.unique(owner * span + labels)
         per_owner: dict[int, list[int]] = defaultdict(list)
@@ -287,10 +290,10 @@ class QueryEngine:
         return edge_ids
 
     def _materialize(self, level: int, root: int) -> np.ndarray:
-        comp = self.components.labels(level)
-        members = np.flatnonzero(
-            (comp == root) & (self.index.supernode_trussness >= level)
-        )
+        # the suffix holds exactly the τ ≥ level supernodes, and the
+        # label is the minimum member id: no member precedes the root
+        first, labels = self.components.suffix(level)
+        members = root + np.flatnonzero(labels[root - first:] == root)
         indptr = self.index.supernode_indptr
         counts = indptr[members + 1] - indptr[members]
         total = int(counts.sum())
@@ -353,13 +356,10 @@ class QueryEngine:
         """Materialize communities, level by level, until the next one
         would not fit the memo budget; returns how many the memo holds."""
         before = len(self._materialized)
-        sn_k = self.index.supernode_trussness
         keys = (
             (level, root)
             for level in self.components.levels.tolist()
-            for root in np.unique(
-                self.components.labels(level)[sn_k >= level]
-            ).tolist()
+            for root in np.unique(self.components.suffix(level)[1]).tolist()
         )
         for key in keys:
             if key in self._materialized:

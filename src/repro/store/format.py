@@ -15,10 +15,46 @@ The JSON header carries everything needed to interpret the payload
 without touching it: the schema-version table
 (:func:`repro.obs.manifest.schema_versions`), the sha256 dataset
 fingerprint of the indexed edge list, the store *generation* (the
-journal protocol's epoch counter), an optional embedded provenance
-manifest, and the **section directory** — for every array section its
-name, dtype string, shape, payload-relative offset, byte length, and
-sha256 checksum.
+journal protocol's epoch counter), the store-wide integer dtype
+(``store_dtype``), an optional embedded provenance manifest, and the
+**section directory** — for every array section its name, dtype string,
+shape, payload-relative offset, byte length, and sha256 checksum.
+
+Sections
+--------
+::
+
+    graph.u, graph.v            canonical edge list (u < v, sorted)    [m]
+    graph.indptr                CSR row offsets                        [n + 1]
+    graph.indices               CSR neighbour ids                      [2m]
+    graph.edge_ids              CSR slot -> edge id                    [2m]
+    index.trussness             τ per edge                             [m]
+    index.edge_supernode        supernode per edge, -1 for τ = 2       [m]
+    index.supernode_trussness   τ per supernode, non-decreasing        [S]
+    index.supernode_indptr      supernode -> member-edge offsets       [S + 1]
+    index.supernode_edges       member edge ids                        [Σ]
+    index.superedges            (lo, hi) supernode pairs               [SE, 2]
+    serve.levels                distinct supernode τ, ascending        [L]      optional
+    serve.label_offsets         label suffix bounds per level          [L + 1]  optional
+    serve.level_labels          concatenated label suffixes            [Σ]      optional
+    graph.edge_order            (v, u)-sorted edge permutation         [m]      optional
+
+**One narrow dtype.** Every section holds one store-wide integer dtype
+(:func:`store_dtype`): little-endian int32 when ``max(n, 2m)`` and the
+label-section length fit int32 — those bound every value any section
+holds — else int64. The header records it as ``store_dtype``, and a
+section of any other dtype is a corrupt store. The in-memory index a
+build returns stays int64; attach hands the narrow mapped views to the
+serving stack as they are.
+
+**Suffix labels.** Supernode ids ascend by trussness, so for each level
+L the supernodes with τ ≥ L — the only ones with a component at L — are
+the id suffix ``[first_L, S)``. ``serve.level_labels`` holds, level by
+level in ``serve.levels`` order, the component label (minimum member
+supernode id) of exactly that suffix; level i's labels are
+``level_labels[label_offsets[i]:label_offsets[i + 1]]`` and
+``first_L = S - (label_offsets[i + 1] - label_offsets[i])``. The lowest
+level covers every supernode, so ``S = label_offsets[1]``.
 
 Sections are raw C-contiguous array bytes. Payload-relative offsets are
 multiples of 64 and the payload itself starts on a 64-byte file offset,
@@ -26,8 +62,9 @@ so every section is 64-byte aligned in the file and an attached
 read-only map yields aligned zero-copy NumPy views.
 
 This module owns the byte-level encoding (header build/parse, alignment,
-checksums); :mod:`repro.store.writer` and :mod:`repro.store.reader` own
-the atomic-swap and mmap-attach protocols on top of it.
+checksums, the dtype rule); :mod:`repro.store.writer` and
+:mod:`repro.store.reader` own the atomic-swap and mmap-attach protocols
+on top of it.
 """
 
 from __future__ import annotations
@@ -40,13 +77,14 @@ import time
 import numpy as np
 
 from repro.errors import CorruptStoreError
+from repro.parallel.context import fits_int32
 
 #: First 8 bytes of every store file.
 STORE_MAGIC = b"EQTSIDX\x00"
 
 #: Bumped whenever the container layout or the section set changes
 #: incompatibly. Readers refuse other versions.
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 #: Section payload alignment: one cache line / the widest vector unit,
 #: so memmap views are aligned for any dtype the store can hold.
@@ -73,8 +111,9 @@ REQUIRED_SECTIONS = (
 )
 
 #: Optional precomputed serving tables (written when components are
-#: supplied; their presence lets attach skip the union-find sweep).
-COMPONENT_SECTIONS = ("serve.levels", "serve.level_labels")
+#: supplied; their presence lets attach skip the union-find sweep):
+#: the levels, then the per-level label-suffix offsets and labels.
+COMPONENT_SECTIONS = ("serve.levels", "serve.label_offsets", "serve.level_labels")
 
 #: Optional cached Init artifact: the edge permutation sorted by (v, u)
 #: — the only sort the fused CSR build performs. Stores carrying it let
@@ -83,6 +122,22 @@ COMPONENT_SECTIONS = ("serve.levels", "serve.level_labels")
 #: sections need no format-version bump: readers ignore unknown names
 #: and only :data:`REQUIRED_SECTIONS` are enforced.
 EDGE_ORDER_SECTION = "graph.edge_order"
+
+
+#: The store dtypes the reader accepts: the format is little-endian.
+STORE_DTYPES = ("<i4", "<i8")
+
+
+def store_dtype(num_vertices: int, num_edges: int, label_entries: int = 0) -> np.dtype:
+    """The one integer dtype of every section of a store.
+
+    No section holds a value above ``max(n, 2m)`` — vertex ids, CSR
+    offsets, edge and supernode ids, τ — except the label offsets, which
+    reach the label-section length. So int32 when that maximum fits,
+    else int64.
+    """
+    bound = max(int(num_vertices), 2 * int(num_edges), int(label_entries))
+    return np.dtype(STORE_DTYPES[0] if fits_int32(bound) else STORE_DTYPES[1])
 
 
 def align_up(n: int, align: int = STORE_ALIGN) -> int:
@@ -100,22 +155,27 @@ def build_header(
     sections: dict[str, np.ndarray],
     dataset: dict,
     generation: int,
-    graph_dtype: str,
     num_vertices: int,
     manifest: dict | None = None,
 ) -> tuple[bytes, list[tuple[str, np.ndarray, int]]]:
     """Serialize the prelude + JSON header and lay out the payload.
 
-    Returns the encoded header block (prelude + JSON + padding to the
-    payload start) and the payload plan: ``(name, array, relative
-    offset)`` triples in write order. Offsets are payload-relative, so
-    the directory is independent of the header's own length.
+    Every section must already hold the store dtype
+    (:func:`store_dtype`). Returns the encoded header block (prelude +
+    JSON + padding to the payload start) and the payload plan: ``(name,
+    array, relative offset)`` triples in write order. Offsets are
+    payload-relative, so the directory is independent of the header's
+    own length.
     """
     from repro.obs.manifest import schema_versions
 
     directory: dict[str, dict] = {}
     plan: list[tuple[str, np.ndarray, int]] = []
     offset = end = 0
+    dtypes = {np.dtype(arr.dtype).str for arr in sections.values()}
+    if len(dtypes) != 1 or not dtypes <= set(STORE_DTYPES):
+        raise ValueError(f"store sections must share one store dtype, got {dtypes}")
+    (dtype,) = dtypes
     for name, arr in sections.items():
         arr = np.ascontiguousarray(arr)
         payload = arr.data if arr.size else b""
@@ -134,7 +194,7 @@ def build_header(
         "created_unix": time.time(),
         "generation": int(generation),
         "num_vertices": int(num_vertices),
-        "graph_dtype": graph_dtype,
+        "store_dtype": dtype,
         "dataset": dataset,
         "schema_versions": schema_versions(),
         # exact payload extent: the last section's end, no tail padding
@@ -181,6 +241,11 @@ def parse_header(blob: bytes, path=None) -> dict:
     for name in REQUIRED_SECTIONS:
         if name not in sections:
             raise CorruptStoreError(f"{where}store is missing section {name!r}")
+    dtype = header.get("store_dtype")
+    if dtype not in STORE_DTYPES:
+        raise CorruptStoreError(
+            f"{where}store dtype {dtype!r} is not one of {STORE_DTYPES}"
+        )
     for name, entry in sections.items():
         if not isinstance(entry, dict):
             raise CorruptStoreError(f"{where}section {name!r} entry malformed")
@@ -196,6 +261,11 @@ def parse_header(blob: bytes, path=None) -> dict:
             raise CorruptStoreError(
                 f"{where}section {name!r} offset {entry['offset']} is not "
                 f"{STORE_ALIGN}-byte aligned"
+            )
+        if entry["dtype"] != dtype:
+            raise CorruptStoreError(
+                f"{where}section {name!r} dtype {entry['dtype']} is not "
+                f"the store dtype {dtype}"
             )
     for field, typ in (
         ("generation", int), ("num_vertices", int),

@@ -81,6 +81,7 @@ def inspect_store(path) -> dict:
         "num_vertices": header["num_vertices"],
         "num_edges": header["dataset"]["edges"],
         "dataset_sha256": header["dataset"]["sha256"],
+        "store_dtype": header["store_dtype"],
         "payload_bytes": header["payload_bytes"],
         "file_bytes": path.stat().st_size,
         "has_components": all(n in sections for n in COMPONENT_SECTIONS),
@@ -117,6 +118,7 @@ def verify_store(path) -> dict:
             "ok": True,
             "generation": store.generation,
             "sections": len(store.header["sections"]),
+            "store_dtype": store.header["store_dtype"],
             "payload_bytes": store.header["payload_bytes"],
             "dataset_sha256": declared,
         }
@@ -230,7 +232,7 @@ class AttachedStore:
             views["graph.indices"],
             views["graph.edge_ids"],
             edges,
-            index_dtype=np.dtype(header["graph_dtype"]),
+            index_dtype=np.dtype(header["store_dtype"]),
         )
         if EDGE_ORDER_SECTION in sections:
             # seed the fused-build sort cache with the mapped (read-only)
@@ -250,7 +252,7 @@ class AttachedStore:
             from repro.serve.components import LevelComponents
 
             self.components = LevelComponents.from_tables(
-                views[COMPONENT_SECTIONS[0]], views[COMPONENT_SECTIONS[1]]
+                *(views[name] for name in COMPONENT_SECTIONS)
             )
         self._dynamic = None
         self._journal = None

@@ -31,6 +31,7 @@ from repro.store.format import (
     EDGE_ORDER_SECTION,
     REQUIRED_SECTIONS,
     build_header,
+    store_dtype,
 )
 
 #: Test-only fault-injection hook: called as ``hook(section_name)``
@@ -54,7 +55,8 @@ def _fsync_dir(path: Path) -> None:
 def store_sections(
     index: EquiTrussIndex, components=None, *, edge_order: bool = True
 ) -> dict[str, np.ndarray]:
-    """The section name → array mapping of one index (+ serving tables).
+    """The section name → array mapping of one index (+ serving tables),
+    every array in the one store dtype (:func:`~repro.store.format.store_dtype`).
 
     ``edge_order=True`` (default) additionally persists the fused Init's
     sorted-edge artifact (:data:`EDGE_ORDER_SECTION`) so rebuilds on the
@@ -77,12 +79,14 @@ def store_sections(
     }
     assert tuple(sections) == REQUIRED_SECTIONS
     if components is not None:
-        levels, labels = components.to_tables()
-        sections[COMPONENT_SECTIONS[0]] = levels
-        sections[COMPONENT_SECTIONS[1]] = labels
+        sections.update(zip(COMPONENT_SECTIONS, components.to_tables()))
     if edge_order:
         sections[EDGE_ORDER_SECTION] = graph.edge_sort_order()
-    return sections
+    labels = sections.get(COMPONENT_SECTIONS[-1])
+    dtype = store_dtype(
+        graph.num_vertices, graph.num_edges, 0 if labels is None else labels.size
+    )
+    return {name: arr.astype(dtype, copy=False) for name, arr in sections.items()}
 
 
 def write_store(
@@ -123,7 +127,6 @@ def write_store(
         sections=sections,
         dataset=dataset_fingerprint(graph, name=dataset),
         generation=generation,
-        graph_dtype=graph.index_dtype.str,
         num_vertices=graph.num_vertices,
         manifest=manifest_doc,
     )

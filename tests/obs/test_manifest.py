@@ -66,6 +66,27 @@ def test_dataset_fingerprint_is_content_based():
     assert dataset_fingerprint(e)["edges"] == g1.num_edges
 
 
+#: digests computed before fingerprints became dtype-independent: the
+#: int64 edge lists of these graphs must keep hashing to them
+PINNED_FINGERPRINTS = {
+    "paper": "7687775d71d7e027ece698174587d7afde3c3ead5420cdff2809be5bfdd082d4",
+    "rmat6": "d88e00001b5d2131876c9113a2f4df971c28597fbe899e6b67ceac81a50a6b1a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+def test_dataset_fingerprint_is_pinned_and_dtype_independent(name):
+    from repro.graph import EdgeList
+    from repro.graph.generators import rmat_graph
+
+    edges = paper_example_graph() if name == "paper" else rmat_graph(6, 6, seed=9)
+    assert dataset_fingerprint(edges)["sha256"] == PINNED_FINGERPRINTS[name]
+    narrow = EdgeList(edges.u.astype(np.int32), edges.v.astype(np.int32),
+                      edges.num_vertices)
+    assert narrow.u.dtype == np.int32
+    assert dataset_fingerprint(narrow) == dataset_fingerprint(edges)
+
+
 def test_manifest_round_trip(tmp_path):
     doc = collect_manifest(extra={"note": "rt"})
     path = write_manifest(doc, tmp_path / "run.manifest.json")

@@ -9,6 +9,7 @@ as :class:`StoreError`. Teardown is ordered: mappings registered with
 an :class:`ExecutionContext` are released before the backend closes.
 """
 
+import json
 import os
 import sys
 import subprocess
@@ -22,10 +23,22 @@ from repro.errors import CorruptStoreError, StaleStoreError, StoreError
 from repro.graph import CSRGraph
 from repro.graph.generators import erdos_renyi_gnm, rmat_graph
 from repro.parallel.context import ExecutionContext
-from repro.store import attach_store
-from repro.store.format import STORE_MAGIC
+from repro.store import attach_store, inspect_store
+from repro.store.format import (
+    COMPONENT_SECTIONS,
+    EDGE_ORDER_SECTION,
+    PRELUDE_BYTES,
+    REQUIRED_SECTIONS,
+    STORE_MAGIC,
+    data_start,
+    parse_header,
+    parse_prelude,
+)
 from repro.store.reader import read_header, verify_store
 from repro.store.writer import write_store
+
+#: every section a store built with components carries
+ALL_SECTIONS = REQUIRED_SECTIONS + COMPONENT_SECTIONS + (EDGE_ORDER_SECTION,)
 
 
 @pytest.fixture
@@ -44,7 +57,7 @@ class _Boom(RuntimeError):
 
 
 @pytest.mark.parametrize(
-    "die_at", ["graph.u", "index.trussness", "serve.levels"]
+    "die_at", ["graph.u", "index.trussness", *COMPONENT_SECTIONS, EDGE_ORDER_SECTION]
 )
 def test_writer_exception_mid_write_preserves_old_store(built, die_at):
     g, result = built
@@ -121,6 +134,36 @@ def test_flipped_payload_byte_is_detected(built):
     attach_store(path).close()
 
 
+@pytest.mark.parametrize("section", ALL_SECTIONS)
+def test_corrupt_section_is_named(built, section):
+    _, result = built
+    path = result.store_path
+    header = read_header(path)
+    entry = header["sections"][section]
+    assert entry["nbytes"], section
+    blob = bytearray(path.read_bytes())
+    _, header_len = parse_prelude(bytes(blob[:PRELUDE_BYTES]))
+    blob[data_start(header_len) + entry["offset"] + entry["nbytes"] - 1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptStoreError, match=f"section {section!r} checksum"):
+        attach_store(path, verify=True)
+
+
+def test_section_off_the_store_dtype_is_rejected(built):
+    _, result = built
+    with open(result.store_path, "rb") as f:
+        _, header_len = parse_prelude(f.read(PRELUDE_BYTES))
+        blob = f.read(header_len)
+    parse_header(blob)
+    doc = json.loads(blob)
+    doc["sections"]["serve.level_labels"]["dtype"] = "<i8"
+    with pytest.raises(CorruptStoreError, match="not the store dtype"):
+        parse_header(json.dumps(doc).encode())
+    doc["store_dtype"] = "<f8"
+    with pytest.raises(CorruptStoreError, match="store dtype"):
+        parse_header(json.dumps(doc).encode())
+
+
 def test_truncated_file_is_detected(built):
     _, result = built
     path = result.store_path
@@ -152,6 +195,21 @@ def test_unsupported_format_version_is_rejected(built):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptStoreError, match="version"):
         attach_store(path)
+
+
+def test_version_1_store_is_rejected_typed(built, capsys):
+    from repro.cli import main
+
+    _, result = built
+    path = result.store_path
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = (1).to_bytes(4, "little")  # a format-1 prelude
+    path.write_bytes(bytes(blob))
+    for call in (attach_store, inspect_store, verify_store):
+        with pytest.raises(CorruptStoreError, match="format version 1"):
+            call(path)
+    assert main(["store", "inspect", str(path)]) == 1
+    assert "unsupported store format version 1" in capsys.readouterr().err
 
 
 def test_expect_graph_mismatch_raises_typed_error(built, tmp_path):

@@ -3,8 +3,10 @@
 Every index array that goes through the binary container must come back
 byte for byte, on every construction variant, and the attached
 :class:`QueryEngine` must answer exactly like the BFS reference over the
-in-memory index. The attach path is also pinned as zero-copy: the
-returned arrays are views into the mapping, not copies.
+in-memory index. Sections hold the store's one narrow dtype, so "bit
+identical" means equal values in the header's ``store_dtype``. The
+attach path is also pinned as zero-copy: the returned arrays are views
+into the mapping, not copies.
 """
 
 import numpy as np
@@ -21,8 +23,8 @@ from repro.graph.generators import (
     paper_example_graph,
     rmat_graph,
 )
-from repro.store import IndexStore, attach_store
-from repro.store.format import REQUIRED_SECTIONS
+from repro.store import STORE_FORMAT_VERSION, IndexStore, attach_store
+from repro.store.format import REQUIRED_SECTIONS, store_dtype
 from repro.store.reader import inspect_store, verify_store
 from repro.store.writer import write_store
 
@@ -47,15 +49,20 @@ def _graph(name):
     return CSRGraph.from_edgelist(GRAPHS[name]())
 
 
-def assert_index_identical(expected, got, context=None):
-    for field in INDEX_ARRAYS:
-        a, b = getattr(expected, field), getattr(got, field)
-        assert a.dtype == b.dtype, (context, field)
+def assert_index_identical(expected, store, context=None):
+    """Every attached array equals the in-memory one and holds the
+    header's store dtype."""
+    dtype = np.dtype(store.header["store_dtype"])
+    got = store.index
+    pairs = [(field, getattr(expected, field), getattr(got, field))
+             for field in INDEX_ARRAYS]
+    pairs += [(field, getattr(expected.graph, field), getattr(got.graph, field))
+              for field in ("indptr", "indices", "edge_ids")]
+    pairs += [(field, getattr(expected.graph.edges, field),
+               getattr(got.graph.edges, field)) for field in ("u", "v")]
+    for field, a, b in pairs:
         assert np.array_equal(a, b), (context, field)
-    assert np.array_equal(expected.graph.edges.u, got.graph.edges.u), context
-    assert np.array_equal(expected.graph.edges.v, got.graph.edges.v), context
-    assert np.array_equal(expected.graph.indptr, got.graph.indptr), context
-    assert np.array_equal(expected.graph.indices, got.graph.indices), context
+        assert b.dtype == dtype, (context, field, b.dtype)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -64,7 +71,8 @@ def test_write_attach_bit_identical(tmp_path, name, variant):
     g = _graph(name)
     result = build_index(g, variant, store_path=tmp_path / "g.eqtsidx")
     with attach_store(result.store_path, verify=True) as store:
-        assert_index_identical(result.index, store.index, (name, variant))
+        assert_index_identical(result.index, store, (name, variant))
+        assert store.header["store_dtype"] == "<i4"
         assert store.components is not None
         assert store.generation == 1
 
@@ -94,9 +102,13 @@ def test_attach_is_zero_copy(tmp_path):
     for field in INDEX_ARRAYS:
         assert np.shares_memory(getattr(store.index, field), store._buf), field
         assert not getattr(store.index, field).flags.writeable, field
+    levels = store.components.levels
+    suffixes = [store.components.suffix(k)[1] for k in levels.tolist()]
     for arr in (store.graph.indptr, store.graph.indices, store.graph.edge_ids,
-                store.graph.edges.u, store.graph.edges.v):
+                store.graph.edges.u, store.graph.edges.v,
+                store.graph._edge_order, levels, *suffixes):
         assert np.shares_memory(arr, store._buf)
+        assert arr.dtype == np.int32
     store.close()
 
 
@@ -115,6 +127,27 @@ def test_index_init_accepts_readonly_views_without_copy():
     rebuilt = EquiTrussIndex(graph=g, **views)
     for field in INDEX_ARRAYS:
         assert np.shares_memory(getattr(rebuilt, field), backing[field]), field
+    narrow = {field: arr.astype(np.int32) for field, arr in views.items()}
+    rebuilt = EquiTrussIndex(graph=g, **narrow)
+    for field in INDEX_ARRAYS:
+        got = getattr(rebuilt, field)
+        assert got.dtype == np.int32, field
+        assert np.shares_memory(got, narrow[field]), field
+
+
+@pytest.mark.parametrize(
+    "n, m, labels, dtype",
+    [
+        (2**31 - 1, 0, 0, "<i4"),
+        (2**31, 0, 0, "<i8"),
+        (10, 2**30 - 1, 0, "<i4"),  # 2m = 2^31 - 2
+        (10, 2**30, 0, "<i8"),  # 2m = 2^31
+        (2**31 - 1, 2**30 - 1, 2**31 - 1, "<i4"),
+        (10, 10, 2**31, "<i8"),  # label offsets reach the label count
+    ],
+)
+def test_store_dtype_rule_at_the_int32_boundary(n, m, labels, dtype):
+    assert store_dtype(n, m, labels) == np.dtype(dtype)
 
 
 def test_triangle_free_graph_roundtrip(tmp_path):
@@ -125,7 +158,7 @@ def test_triangle_free_graph_roundtrip(tmp_path):
     result = build_index(g, "afforest", store_path=tmp_path / "path.eqtsidx")
     assert result.index.num_supernodes == 0
     with attach_store(result.store_path, verify=True) as store:
-        assert_index_identical(result.index, store.index)
+        assert_index_identical(result.index, store)
         assert store.engine().query(0, 3) == []
 
 
@@ -139,9 +172,13 @@ def test_inspect_and_verify_report(tmp_path):
     assert info["num_edges"] == g.num_edges
     assert info["has_components"]
     assert set(REQUIRED_SECTIONS) <= set(info["sections"])
-    assert info["schema_versions"]["store"] == 1
+    assert info["format_version"] == info["schema_versions"]["store"] == 2
+    assert STORE_FORMAT_VERSION == 2
+    assert info["store_dtype"] == "<i4"
+    assert {e["dtype"] for e in info["sections"].values()} == {"<i4"}
     report = verify_store(result.store_path)
     assert report["ok"] and report["generation"] == 7
+    assert report["store_dtype"] == "<i4"
 
 
 def test_store_facade(tmp_path):
@@ -149,7 +186,7 @@ def test_store_facade(tmp_path):
     index = build_index(g, "afforest").index
     path = IndexStore.write(index, tmp_path / "g.eqtsidx")
     with IndexStore.attach(path) as store:
-        assert_index_identical(index, store.index)
+        assert_index_identical(index, store)
         assert store.components is None  # written without serving tables
         assert store.engine().query(10, 3)  # sweep fallback still works
     assert IndexStore.verify(path)["ok"]
