@@ -8,12 +8,13 @@ instrumented runs.
 ``run_fig8_backends`` measures the *real* per-kernel seconds of the
 index-construction phase under each execution backend (prerequisites
 cached, so the rows isolate Init/SpNode/SpEdge/SmGraph/SpNodeRemap) and
-records them in the ``BENCH_pr4.json`` snapshot alongside the fig6
-end-to-end sweep.
+records them in the ``bench-artifacts/BENCH_pr4.json`` snapshot
+alongside the fig6 end-to-end sweep.
 """
 
 import os
 import time
+from pathlib import Path
 
 from repro.bench import PerfSnapshot, ResultWriter, TextTable, get_workload, run_variant
 from repro.bench.paper import FIG8_SPNODE_SCALING
@@ -26,6 +27,10 @@ THREADS = (1, 8, 32, 128)
 SHOWN = (SP_NODE, SP_EDGE, SM_GRAPH)
 
 SWEEP_BACKENDS = (("serial", 1), ("process", 4))
+
+#: the sweeps' snapshot, outside the checked-in results
+ROOT = Path(__file__).resolve().parents[1]
+SNAPSHOT_PATH = ROOT / "bench-artifacts" / "BENCH_pr4.json"
 
 
 def run_fig8():
@@ -61,7 +66,7 @@ def run_fig8_backends():
     name = "orkut"
     w = get_workload(name)
     writer = ResultWriter("fig8_backend_kernels")
-    snap = PerfSnapshot("pr4")
+    snap = PerfSnapshot("pr4", path=SNAPSHOT_PATH)
     out = {}
     for variant in ("coptimal", "afforest"):
         table = TextTable(

@@ -11,6 +11,10 @@ the test suites. Two usage styles:
   waiting, then :meth:`ServeClient.recv` (or
   :meth:`ServeClient.collect`) the responses; they may arrive in any
   order and are correlated by ``id``.
+
+Each client decodes responses through its own
+:class:`~repro.serve.protocol.DecodeMemo`, so a community that many
+answers repeat is decoded once per connection.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ class ServeClient:
         self._sock.settimeout(timeout)
         self._rfile = self._sock.makefile("rb")
         self._seq = 0
+        #: this connection's decoded communities (never shared)
+        self.memo = protocol.DecodeMemo()
 
     # ------------------------------------------------------------------
     # Pipelined primitives
@@ -49,7 +55,7 @@ class ServeClient:
         line = self._rfile.readline()
         if not line:
             raise ServeError("connection closed by the frontend")
-        return protocol.decode_frame(line)
+        return protocol.decode_frame(line, self.memo)
 
     def collect(self, ids: Iterable[Any]) -> dict[Any, dict]:
         """Receive until every id in ``ids`` has a response; id → frame."""

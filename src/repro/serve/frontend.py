@@ -79,6 +79,12 @@ COUNT_BOUNDARIES: tuple[float, ...] = (
 #: threshold.
 LOOP_STALL_METRIC = "repro.serve.frontend.loop_stall_ms"
 
+#: Bound of each wait in :meth:`ServingFrontend.stop`: for in-flight
+#: batches to answer and their answers to be written, for the typed
+#: errors of what the killed shards left unanswered, and for the client
+#: handlers to finish once their connections are closed.
+STOP_DRAIN_S = 2.0
+
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -152,6 +158,7 @@ class ShardHandle:
         self._reader_task: asyncio.Task | None = None
         self._spawn_lock = asyncio.Lock()
         self._dead = True
+        self._closed = False
 
     @property
     def alive(self) -> bool:
@@ -289,6 +296,8 @@ class ShardHandle:
         async with self._spawn_lock:
             if self.alive:
                 return
+            if self._closed:
+                raise ShardUnavailableError(f"shard {self.rank} is closed")
             if self.restarts >= self.config.restart_limit:
                 raise ShardUnavailableError(
                     f"shard {self.rank} exceeded its restart limit "
@@ -355,7 +364,8 @@ class ShardHandle:
             ) from None
 
     async def close(self) -> None:
-        self._dead = True
+        """Kill the worker for good: a closed shard is never respawned."""
+        self._dead = self._closed = True
         await self._reap()
 
 
@@ -388,7 +398,12 @@ class ServingFrontend:
         #: per shard: batches sent and not yet answered
         self._in_flight = [0] * config.num_shards
         self._batch_tasks: set[asyncio.Task] = set()
+        #: live client connections: handler task -> its writer
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: request tasks of every connection, answered before stop closes it
+        self._request_tasks: set[asyncio.Task] = set()
         self._admitted = 0
+        self._stopping = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -411,12 +426,20 @@ class ServingFrontend:
         self.started = True
 
     async def stop(self) -> None:
-        """Stop accepting, fail anything buffered, and kill the shards."""
+        """Stop accepting, drain, then close every shard and client.
+
+        Buffered requests fail at once; in-flight batches get
+        :data:`STOP_DRAIN_S` to answer before the shards are killed,
+        which fails what is left with typed errors, so every admitted
+        request is answered or gets a typed error. Each client is then
+        closed and its handler awaited; a client that stopped reading is
+        aborted after :data:`STOP_DRAIN_S`.
+        """
         self.started = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        self._stopping = True
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for buffers in self._buffers:
             for items in buffers.values():
                 for _, fut in items:
@@ -424,10 +447,20 @@ class ServingFrontend:
                         fut.set_exception(ServeError("frontend stopping"))
                 self._admitted -= len(items)
             buffers.clear()
-        if self._batch_tasks:
-            await asyncio.gather(*self._batch_tasks, return_exceptions=True)
+        await _wait_bounded(self._batch_tasks | self._request_tasks)
         for shard in self.shards:
             await shard.close()
+        if self._batch_tasks:
+            await asyncio.gather(*self._batch_tasks, return_exceptions=True)
+        await _wait_bounded(self._request_tasks)
+        for writer in self._connections.values():
+            writer.close()  # its handler reads EOF and finishes
+        for handler in await _wait_bounded(set(self._connections)):
+            self._connections[handler].transport.abort()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -436,6 +469,9 @@ class ServingFrontend:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         metrics.inc("repro.serve.frontend.connections")
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[handler] = writer
         wlock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         try:
@@ -444,8 +480,9 @@ class ServingFrontend:
                 if not line:
                     break
                 task = asyncio.create_task(self._serve_frame(line, writer, wlock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                for live in (tasks, self._request_tasks):
+                    live.add(task)
+                    task.add_done_callback(live.discard)
         except ConnectionError:
             pass
         except ValueError:
@@ -468,6 +505,7 @@ class ServingFrontend:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover - raced close
                 pass
+            self._connections.pop(handler, None)
 
     async def _write(
         self, writer: asyncio.StreamWriter, wlock: asyncio.Lock, frame: bytes
@@ -621,6 +659,8 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     async def _submit(self, vertex: int, k: int) -> bytes:
         """Admit one query; its owning shard's encoded answer."""
+        if self._stopping:
+            raise ServeError("frontend stopping")
         if self._admitted >= self.config.max_pending:
             metrics.inc("repro.serve.frontend.rejected")
             raise BackpressureError(
@@ -691,6 +731,14 @@ class ServingFrontend:
         for _, fut in sub:
             if not fut.done():
                 fut.set_exception(exc)
+
+
+async def _wait_bounded(tasks: set[asyncio.Task]) -> set[asyncio.Task]:
+    """Wait up to :data:`STOP_DRAIN_S` for ``tasks``; those still pending."""
+    if not tasks:
+        return set()
+    _, pending = await asyncio.wait(tasks, timeout=STOP_DRAIN_S)
+    return pending
 
 
 # ----------------------------------------------------------------------

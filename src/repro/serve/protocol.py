@@ -37,12 +37,22 @@ unpacks every such object back to
 canonical sorted order, so a decoded response compares equal to
 :func:`serialize_communities` of an in-process
 :meth:`~repro.serve.engine.QueryEngine.query` result.
+
+Answers are bimodal: most are empty, and the rest carry a few giant
+communities (tens of thousands of ids) that every vertex inside them
+shares. A client therefore passes :func:`decode_frame` a per-connection
+:class:`DecodeMemo`, keyed by the exact packed text, so it decodes each
+distinct community once per connection; a memo hit still runs every
+shape check and returns a fresh list. Without a memo (the frontend, a
+shard) every community is decoded.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import sys
+from collections import OrderedDict
 from typing import Any
 
 import numpy as np
@@ -62,6 +72,11 @@ PROTOCOL_VERSION = 2
 #: One frame (request or response) may not exceed this many bytes —
 #: a corrupt peer must not balloon the reader's buffer.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Byte budget of one client connection's :class:`DecodeMemo`, the
+#: estimated size of its decoded communities; the same as the engine's
+#: ``MEMO_BUDGET_BYTES``.
+DECODE_MEMO_BUDGET_BYTES = 64 * 1024 * 1024
 
 # -- op vocabulary -----------------------------------------------------
 
@@ -166,9 +181,11 @@ def encode_frame(obj: dict) -> bytes:
     return _dumps(obj) + b"\n"
 
 
-def decode_frame(line: bytes | str) -> dict:
+def decode_frame(line: bytes | str, memo: DecodeMemo | None = None) -> dict:
     """Parse one frame, unpacking packed communities to ``edge_ids``
-    lists; :class:`WireProtocolError` on anything malformed."""
+    lists; :class:`WireProtocolError` on anything malformed. With a
+    :class:`DecodeMemo`, a community that the memo holds is not decoded
+    again."""
     if isinstance(line, bytes):
         if len(line) > MAX_FRAME_BYTES:
             raise WireProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
@@ -176,8 +193,9 @@ def decode_frame(line: bytes | str) -> dict:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireProtocolError(f"frame is not UTF-8: {exc}") from exc
+    hook = _unpack_community if memo is None else memo.unpack
     try:
-        obj = json.loads(line, object_hook=_unpack_community)
+        obj = json.loads(line, object_hook=hook)
     except json.JSONDecodeError as exc:
         raise WireProtocolError(f"frame is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -241,24 +259,109 @@ def encode_edge_ids(edge_ids) -> bytes:
     return b'"%b":"%b"' % (key.encode(), base64.b64encode(raw))
 
 
-def _unpack_community(obj: dict) -> dict:
-    """``json.loads`` object hook: a packed community → ``{"k", "edge_ids"}``."""
+def _packed_key(obj: dict) -> str | None:
+    """The packed id key of a community object, after its shape checks
+    (exactly ``k`` and that key, an int ``k``, a string payload); None
+    for any other object."""
     key = next((key for key in _PACKED if key in obj), None)
     if key is None:
-        return obj
+        return None
     k, payload = obj.get("k"), obj[key]
     if obj.keys() != {"k", key} or type(k) is not int or type(payload) is not str:
         raise WireProtocolError(
             f"a packed community is an int 'k' and a string {key!r}, got "
             f"{ {name: type(value).__name__ for name, value in obj.items()} }"
         )
+    return key
+
+
+def _decode_ids(key: str, payload: str) -> list[int]:
+    """A packed payload's edge ids; :class:`WireProtocolError` when it is
+    not base64 of whole ids."""
     try:
         raw = base64.b64decode(payload, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII string
         raise WireProtocolError(f"{key} is not base64: {exc}") from exc
     if len(raw) % _PACKED[key].itemsize:
         raise WireProtocolError(f"{key} holds {len(raw)} bytes, not whole ids")
-    return {"k": k, "edge_ids": np.frombuffer(raw, _PACKED[key]).tolist()}
+    return np.frombuffer(raw, _PACKED[key]).tolist()
+
+
+def _unpack_community(obj: dict) -> dict:
+    """``json.loads`` object hook: a packed community → ``{"k", "edge_ids"}``."""
+    key = _packed_key(obj)
+    if key is None:
+        return obj
+    return {"k": obj["k"], "edge_ids": _decode_ids(key, obj[key])}
+
+
+#: Estimated bytes of a decode memo entry: the payload text and list
+#: headers, the payload's characters, and per id an 8-byte list slot plus
+#: an int object as large as the widest id of its packed width.
+_ENTRY_BYTES = sys.getsizeof("") + sys.getsizeof([])
+_ID_BYTES = {
+    key: 8 + sys.getsizeof((1 << 8 * dtype.itemsize) - 1)
+    for key, dtype in _PACKED.items()
+}
+
+
+def _entry_bytes(text: tuple[str, str], num_ids: int) -> int:
+    key, payload = text
+    # Python ints, not an int32 key: the product cannot wrap
+    return _ENTRY_BYTES + len(payload) + num_ids * _ID_BYTES[key]  # repro: allow(REP005)
+
+
+class DecodeMemo:
+    """One connection's decoded communities, keyed by their packed text.
+
+    A community is the same answer for every vertex in it, so a client
+    receives the same packed payload many times. :func:`decode_frame`
+    with a memo runs every shape check on each packed object, then looks
+    the exact ``(key, payload)`` text up here: a hit skips the base64
+    and int decode. Every decode returns a fresh list (callers may
+    mutate it); the int objects in it are shared. Entries are evicted
+    least recently used to hold the estimate, :attr:`nbytes`, within
+    :data:`DECODE_MEMO_BUDGET_BYTES`; a community larger than the whole
+    budget is decoded and not stored. Not thread-safe: one per
+    connection.
+    """
+
+    __slots__ = ("_entries", "nbytes")
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple[str, str], list[int]] = OrderedDict()
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def unpack(self, obj: dict) -> dict:
+        """``json.loads`` object hook: :func:`_unpack_community`, memoized."""
+        key = _packed_key(obj)
+        if key is None:
+            return obj
+        text = (key, obj[key])
+        ids = self._entries.get(text)
+        if ids is None:
+            ids = _decode_ids(*text)
+            if not self._store(text, ids):
+                return {"k": obj["k"], "edge_ids": ids}
+        else:
+            self._entries.move_to_end(text)
+        return {"k": obj["k"], "edge_ids": list(ids)}
+
+    def _store(self, text: tuple[str, str], ids: list[int]) -> bool:
+        """Remember ``ids`` under ``text``, evicting least recently used
+        entries; False (evicting nothing) when they exceed the budget."""
+        cost = _entry_bytes(text, len(ids))
+        if cost > DECODE_MEMO_BUDGET_BYTES:
+            return False
+        while self.nbytes + cost > DECODE_MEMO_BUDGET_BYTES:
+            old, old_ids = self._entries.popitem(last=False)
+            self.nbytes -= _entry_bytes(old, len(old_ids))
+        self._entries[text] = ids
+        self.nbytes += cost
+        return True
 
 
 def encode_communities(communities, engine=None) -> bytes:

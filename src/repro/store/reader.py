@@ -26,7 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.equitruss.index import EquiTrussIndex
-from repro.errors import CorruptStoreError, StoreError
+from repro.errors import (
+    CorruptStoreError,
+    GraphConstructionError,
+    InvalidParameterError,
+    StoreError,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.obs import metrics
@@ -124,6 +129,54 @@ def verify_store(path) -> dict:
         }
 
 
+def _object_graph(header: dict, views: dict) -> tuple:
+    """The zero-copy ``(graph, index, components)`` over a store's mapped
+    sections; components are None when the store holds no tables.
+
+    The constructors check what they read, and ``supernode_indptr`` is
+    bounded here, which no constructor checks: a corrupt value would
+    otherwise surface at the first query. :class:`AttachedStore` turns
+    the errors into :class:`CorruptStoreError`.
+    """
+    edges = EdgeList(views["graph.u"], views["graph.v"], header["num_vertices"])
+    graph = CSRGraph(
+        views["graph.indptr"],
+        views["graph.indices"],
+        views["graph.edge_ids"],
+        edges,
+        index_dtype=np.dtype(header["store_dtype"]),
+    )
+    if EDGE_ORDER_SECTION in views:
+        # seed the fused-build sort cache with the mapped (read-only)
+        # permutation so edge_sort_order()/rebuild_graph() never sort
+        graph._edge_order = views[EDGE_ORDER_SECTION]
+    indptr = views["index.supernode_indptr"]
+    size = views["index.supernode_edges"].size
+    if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != size or (
+        indptr[1:] < indptr[:-1]
+    ).any():
+        raise InvalidParameterError(
+            f"supernode_indptr does not delimit {size} supernode edges"
+        )
+    index = EquiTrussIndex(
+        graph=graph,
+        trussness=views["index.trussness"],
+        edge_supernode=views["index.edge_supernode"],
+        supernode_trussness=views["index.supernode_trussness"],
+        supernode_indptr=indptr,
+        supernode_edges=views["index.supernode_edges"],
+        superedges=views["index.superedges"],
+    )
+    components = None
+    if all(name in views for name in COMPONENT_SECTIONS):
+        from repro.serve.components import LevelComponents
+
+        components = LevelComponents.from_tables(
+            *(views[name] for name in COMPONENT_SECTIONS)
+        )
+    return graph, index, components
+
+
 class RefreshReport:
     """What one :meth:`AttachedStore.refresh` call did."""
 
@@ -217,6 +270,11 @@ class AttachedStore:
                     raise CorruptStoreError(
                         f"{self.path}: section {name!r} checksum mismatch"
                     )
+        try:
+            graph, index, components = _object_graph(header, views)
+        except (GraphConstructionError, InvalidParameterError) as exc:
+            _close_quiet(mm, f)
+            raise CorruptStoreError(f"{self.path}: {exc}") from exc
         # release the previous mapping (a refresh-after-swap path)
         self._release_mapping()
         self._file, self._mm, self._buf = f, mm, buf
@@ -224,36 +282,7 @@ class AttachedStore:
         self.generation = int(header["generation"])
         self.base_generation = self.generation
         self.bytes_mapped = int(buf.size)
-        edges = EdgeList(
-            views["graph.u"], views["graph.v"], header["num_vertices"]
-        )
-        self.graph = CSRGraph(
-            views["graph.indptr"],
-            views["graph.indices"],
-            views["graph.edge_ids"],
-            edges,
-            index_dtype=np.dtype(header["store_dtype"]),
-        )
-        if EDGE_ORDER_SECTION in sections:
-            # seed the fused-build sort cache with the mapped (read-only)
-            # permutation so edge_sort_order()/rebuild_graph() never sort
-            self.graph._edge_order = views[EDGE_ORDER_SECTION]
-        self.index = EquiTrussIndex(
-            graph=self.graph,
-            trussness=views["index.trussness"],
-            edge_supernode=views["index.edge_supernode"],
-            supernode_trussness=views["index.supernode_trussness"],
-            supernode_indptr=views["index.supernode_indptr"],
-            supernode_edges=views["index.supernode_edges"],
-            superedges=views["index.superedges"],
-        )
-        self.components = None
-        if all(name in sections for name in COMPONENT_SECTIONS):
-            from repro.serve.components import LevelComponents
-
-            self.components = LevelComponents.from_tables(
-                *(views[name] for name in COMPONENT_SECTIONS)
-            )
+        self.graph, self.index, self.components = graph, index, components
         self._dynamic = None
         self._journal = None
 

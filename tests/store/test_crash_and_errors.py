@@ -149,6 +149,47 @@ def test_corrupt_section_is_named(built, section):
         attach_store(path, verify=True)
 
 
+def _flip_middle(path, section, mask=0xFF):
+    """Flip the high-order byte of ``section``'s middle value."""
+    entry = read_header(path)["sections"][section]
+    itemsize = np.dtype(entry["dtype"]).itemsize
+    middle = entry["nbytes"] // itemsize // 2
+    blob = bytearray(path.read_bytes())
+    _, header_len = parse_prelude(bytes(blob[:PRELUDE_BYTES]))
+    blob[data_start(header_len) + entry["offset"] + (middle + 1) * itemsize - 1] ^= mask
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("mask", (0x40, 0xFF), ids=("large", "negative"))
+@pytest.mark.parametrize(
+    "section", ("graph.u", "serve.label_offsets", "index.supernode_indptr")
+)
+def test_flipped_value_fails_unverified_attach_typed(built, section, mask):
+    """A flipped high-order byte fails the plain attach typed and at
+    once, not in the first query (``supernode_indptr`` is bounded at
+    attach), and the in-memory constructors' errors become
+    :class:`CorruptStoreError`."""
+    _, result = built
+    _flip_middle(result.store_path, section, mask)
+    with pytest.raises(CorruptStoreError, match=str(result.store_path)):
+        attach_store(result.store_path)
+
+
+def test_corrupt_swapped_store_keeps_the_old_generation(built):
+    g, result = built
+    path = result.store_path
+    with attach_store(path) as store:
+        engine = store.engine(cache_size=0)
+        before = [engine.query(v, 3, record=False) for v in range(20)]
+        # a rebuild swaps the file at the next generation
+        build_index(g, "afforest", store_path=path, store_generation=2)
+        _flip_middle(path, "index.supernode_indptr")
+        with pytest.raises(CorruptStoreError, match="supernode_indptr"):
+            store.refresh()
+        assert store.generation == 1
+        assert [engine.query(v, 3, record=False) for v in range(20)] == before
+
+
 def test_section_off_the_store_dtype_is_rejected(built):
     _, result = built
     with open(result.store_path, "rb") as f:
