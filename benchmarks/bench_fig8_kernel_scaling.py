@@ -7,16 +7,14 @@ instrumented runs.
 
 ``run_fig8_backends`` measures the *real* per-kernel seconds of the
 index-construction phase under each execution backend (prerequisites
-cached, so the rows isolate Init/SpNode/SpEdge/SmGraph/SpNodeRemap) and
-records them in the ``bench-artifacts/BENCH_pr4.json`` snapshot
-alongside the fig6 end-to-end sweep.
+cached, so the rows isolate Init/SpNode/SpEdge/SmGraph/SpNodeRemap)
+and asserts every backend's index is bit-identical to the serial one.
 """
 
 import os
 import time
-from pathlib import Path
 
-from repro.bench import PerfSnapshot, ResultWriter, TextTable, get_workload, run_variant
+from repro.bench import ResultWriter, TextTable, get_workload, run_variant
 from repro.bench.paper import FIG8_SPNODE_SCALING
 from repro.equitruss.kernels import SM_GRAPH, SP_EDGE, SP_NODE
 from repro.parallel import SimulatedMachine
@@ -27,10 +25,6 @@ THREADS = (1, 8, 32, 128)
 SHOWN = (SP_NODE, SP_EDGE, SM_GRAPH)
 
 SWEEP_BACKENDS = (("serial", 1), ("process", 4))
-
-#: the sweeps' snapshot, outside the checked-in results
-ROOT = Path(__file__).resolve().parents[1]
-SNAPSHOT_PATH = ROOT / "bench-artifacts" / "BENCH_pr4.json"
 
 
 def run_fig8():
@@ -66,7 +60,6 @@ def run_fig8_backends():
     name = "orkut"
     w = get_workload(name)
     writer = ResultWriter("fig8_backend_kernels")
-    snap = PerfSnapshot("pr4", path=SNAPSHOT_PATH)
     out = {}
     for variant in ("coptimal", "afforest"):
         table = TextTable(
@@ -92,13 +85,8 @@ def run_fig8_backends():
             table.add_row(
                 backend, workers, elapsed, *[kernels.get(k, 0.0) for k in SHOWN]
             )
-            snap.add_run(
-                "fig8_backend_kernels", name, variant, backend, workers, elapsed,
-                mode="measured", kernels=kernels, identical_to_serial=bool(same),
-            )
             out[(variant, backend)] = (same, elapsed)
         writer.add(table)
-    snap.write()
     writer.write()
     return out
 

@@ -7,20 +7,15 @@ Run with::
 Each experiment prints its tables (add ``-s`` to see them live) and
 writes them to ``benchmarks/results/<experiment>.txt``. Experiments run
 once (``benchmark.pedantic(..., rounds=1)``) — they are full pipelines,
-not microbenchmarks; the micro-kernel timings live in
-``bench_micro_kernels.py`` with normal repetition.
+not microbenchmarks.
 
 Trace dumps
 -----------
 Set ``REPRO_TRACE_DIR=/some/dir`` to write one JSONL span trace per
 bench invocation whose workload returns something traceable (a
-``BuildResult``, an ``ExecutionContext``, or a ``Tracer``). Two dump
-directories from different commits diff with::
-
-    python - <<'PY'
-    from repro.obs.diff import diff_trace_files
-    print(diff_trace_files("base/bench_x.jsonl", "new/bench_x.jsonl").format())
-    PY
+``BuildResult``, an ``ExecutionContext``, or a ``Tracer``), each with a
+run-provenance manifest beside it. ``equitruss info --trace FILE``
+prints a dumped trace's per-kernel breakdown.
 """
 
 import os
@@ -54,8 +49,8 @@ def _maybe_dump_trace(result, test_name: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", test_name)
     path = write_trace_jsonl(tracer, out_dir / f"{safe}.jsonl")
-    # every dumped trace ships with its provenance record, so two dump
-    # directories are diffable *and* attributable to commit/host
+    # every dumped trace ships with its provenance record, so a dump
+    # is attributable to its commit and host
     write_manifest(
         collect_manifest(extra={"experiment": test_name}),
         f"{path}.manifest.json",

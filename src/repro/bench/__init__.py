@@ -10,17 +10,13 @@ from repro.bench.tables import TextTable
 from repro.bench.ascii import bar_chart, line_chart
 from repro.bench.workloads import Workload, get_workload, run_variant
 from repro.bench.report import ResultWriter
-from repro.bench.snapshot import PerfSnapshot, load_snapshot, validate_snapshot
 
 __all__ = [
-    "PerfSnapshot",
     "ResultWriter",
     "TextTable",
     "Workload",
     "bar_chart",
     "get_workload",
     "line_chart",
-    "load_snapshot",
     "run_variant",
-    "validate_snapshot",
 ]

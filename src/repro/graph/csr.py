@@ -52,24 +52,6 @@ def _check_edge_order(edge_order, u: np.ndarray, v: np.ndarray, n: int) -> np.nd
     return order
 
 
-def _from_edgelist_keyed(edges: EdgeList, index_dtype=None) -> "CSRGraph":
-    """The pre-fusion two-pass build: one 2m-element keyed stable sort.
-
-    Kept as the measured baseline for the fused :meth:`CSRGraph.from_edgelist`
-    (``bench_build_path.py``) and as the oracle of its bit-identity tests.
-    """
-    n, m = edges.num_vertices, edges.num_edges
-    src = np.concatenate([edges.u, edges.v])
-    dst = np.concatenate([edges.v, edges.u])
-    eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
-    order = np.argsort(src * np.int64(max(n, 1)) + dst, kind="stable")
-    src, dst, eid = src[order], dst[order], eid[order]
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return CSRGraph(indptr, dst, eid, edges, index_dtype=index_dtype)
-
-
 class CSRGraph:
     """Immutable undirected graph in CSR form.
 

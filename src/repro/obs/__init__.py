@@ -6,7 +6,6 @@
   under the stable ``repro.*`` namespace;
 * :mod:`repro.obs.export` — JSONL trace + JSON metrics files;
 * :mod:`repro.obs.report` — ASCII breakdown table and flamegraph;
-* :mod:`repro.obs.diff` — per-kernel regression diffing of two traces;
 * :mod:`repro.obs.logging` — structured ``key=value`` logging setup.
 
 Only the light ``trace``/``metrics`` symbols are re-exported here — the

@@ -4,11 +4,11 @@ A manifest is the "where did this number come from" record written
 alongside every exported trace: git revision, host, backend and worker
 count, dtype policy, a content hash of the input dataset, the run's
 peak workspace / shared-memory bytes, and the schema versions of every
-sibling artifact. Benchmarks attach it to their ``BENCH_*.json``
-snapshots (:mod:`repro.bench.snapshot`), the CLI writes it next to
-``--trace-out`` files, and CI uploads it with the bench-smoke
-artifacts — so any perf figure can be traced back to the exact code,
-data, and machine that produced it.
+sibling artifact. The CLI writes it next to ``--trace-out`` files,
+the store writer embeds it in every ``.eqtsidx`` header, and the
+benchmark trace dumps (``REPRO_TRACE_DIR``) write one per trace — so
+any perf figure can be traced back to the exact code, data, and machine
+that produced it.
 
 All collectors degrade gracefully: no git checkout → ``git_sha: null``,
 no context → the execution block is ``null``, and so on. Validation
@@ -85,7 +85,6 @@ def dataset_fingerprint(graph, name: str | None = None) -> dict:
 
 def schema_versions() -> dict:
     """Schema versions of every artifact family a run can emit."""
-    from repro.bench.snapshot import SNAPSHOT_SCHEMA_VERSION
     from repro.serve.protocol import PROTOCOL_VERSION
     from repro.store.format import STORE_FORMAT_VERSION
     from repro.store.journal import JOURNAL_SCHEMA_VERSION
@@ -94,7 +93,6 @@ def schema_versions() -> dict:
         "trace": TRACE_SCHEMA_VERSION,
         "metrics": METRICS_SCHEMA_VERSION,
         "manifest": MANIFEST_SCHEMA_VERSION,
-        "snapshot": SNAPSHOT_SCHEMA_VERSION,
         "store": STORE_FORMAT_VERSION,
         "journal": JOURNAL_SCHEMA_VERSION,
         "wire": PROTOCOL_VERSION,

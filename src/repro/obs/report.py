@@ -20,63 +20,20 @@ def _as_records(trace) -> list[dict]:
     return [r for r in trace if r.get("type", "span") == "span"]
 
 
-def _collapsed_name(rec: dict) -> str:
-    """Span name with the per-worker index folded away.
-
-    Worker fan-out spans carry a stable ``worker_id`` attribute (set by
-    ``map_tasks``); collapsing rewrites ``Worker[3]`` → ``Worker[*]`` so
-    aggregations and diffs key on the fan-out, not on how many workers a
-    particular machine happened to run.
-    """
-    name = rec["name"]
-    attrs = rec.get("attrs") or {}
-    if "worker_id" in attrs and name.endswith("]") and "[" in name:
-        return name[: name.rindex("[")] + "[*]"
-    return name
-
-
-def aggregate_spans(trace, include=None, collapse_workers: bool = False) -> dict[str, float]:
+def aggregate_spans(trace, include=None) -> dict[str, float]:
     """Seconds per span name in first-seen order.
 
     A parent span's time includes its children's; pass ``include`` (an
     iterable of names, e.g. the paper's kernel list) to keep only the
-    rows that are meaningful side by side. ``collapse_workers=True``
-    folds per-worker fan-out spans (``Worker[0]``, ``Worker[1]``, ...)
-    into a single ``Worker[*]`` row keyed on their stable ``worker_id``
-    attribute, so traces from runs with different worker counts stay
-    comparable.
+    rows that are meaningful side by side.
     """
     keep = set(include) if include is not None else None
     out: dict[str, float] = {}
     for rec in _as_records(trace):
-        name = _collapsed_name(rec) if collapse_workers else rec["name"]
-        if keep is not None and name not in keep and rec["name"] not in keep:
+        name = rec["name"]
+        if keep is not None and name not in keep:
             continue
         out[name] = out.get(name, 0.0) + rec["seconds"]
-    return out
-
-
-def per_worker_kernels(trace) -> dict[str, float]:
-    """Seconds per worker-local kernel span, keyed ``w{id}.{kernel}``.
-
-    Walks the records for spans whose *parent* is a worker fan-out span
-    (carries ``worker_id``); the children are the kernel spans the
-    worker recorded inside its own process and shipped back in the task
-    envelope. The result is the per-worker kernel breakdown that the
-    bench-smoke snapshot publishes.
-    """
-    records = _as_records(trace)
-    by_id = {r["id"]: r for r in records if "id" in r}
-    out: dict[str, float] = {}
-    for rec in records:
-        parent = by_id.get(rec.get("parent"))
-        if parent is None:
-            continue
-        wid = (parent.get("attrs") or {}).get("worker_id")
-        if wid is None:
-            continue
-        key = f"w{wid}.{rec['name']}"
-        out[key] = out.get(key, 0.0) + rec["seconds"]
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph import CSRGraph, build_edgelist, build_graph
 from repro.graph.generators import complete_graph, erdos_renyi_gnm
+from tests.graph.keyed_oracle import keyed_csr
 
 
 @pytest.fixture
@@ -99,11 +100,9 @@ def _fused_cases():
 
 
 def test_fused_build_matches_keyed_build():
-    from repro.graph.csr import _from_edgelist_keyed
-
     for edges in _fused_cases():
         g = CSRGraph.from_edgelist(edges)
-        ref = _from_edgelist_keyed(edges)
+        ref = keyed_csr(edges)
         assert np.array_equal(np.asarray(g.indptr), np.asarray(ref.indptr))
         assert np.array_equal(np.asarray(g.indices), np.asarray(ref.indices))
         assert np.array_equal(np.asarray(g.edge_ids), np.asarray(ref.edge_ids))

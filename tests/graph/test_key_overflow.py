@@ -12,6 +12,7 @@ import numpy as np
 from repro.graph import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.parallel import DtypePolicy, ExecutionContext
+from tests.graph.keyed_oracle import keyed_csr
 
 I32_MAX = np.iinfo(np.int32).max
 
@@ -81,11 +82,9 @@ def test_triangle_pipeline_exact_on_high_id_graph():
 def test_fused_build_matches_keyed_past_int32():
     """The fused single-pass Init and the legacy keyed build agree at a
     vertex count whose key space exceeds int32 (both int64-guarded)."""
-    from repro.graph.csr import _from_edgelist_keyed
-
     for dt in (np.int32, np.int64):
         g = _high_id_graph(index_dtype=dt)
-        ref = _from_edgelist_keyed(g.edges, index_dtype=dt)
+        ref = keyed_csr(g.edges, index_dtype=dt)
         assert np.array_equal(np.asarray(g.indptr), np.asarray(ref.indptr))
         assert np.array_equal(np.asarray(g.indices), np.asarray(ref.indices))
         assert np.array_equal(np.asarray(g.edge_ids), np.asarray(ref.edge_ids))

@@ -1,4 +1,4 @@
-"""Run-provenance manifests: collect, validate, round-trip, attach."""
+"""Run-provenance manifests: collect, validate, round-trip."""
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ def test_collect_manifest_minimal_shape():
     assert doc["host"]["numpy"] == np.__version__
     versions = doc["schema_versions"]
     assert set(versions) == {
-        "trace", "metrics", "manifest", "snapshot", "store", "journal", "wire"
+        "trace", "metrics", "manifest", "store", "journal", "wire"
     }
     assert versions["wire"] == PROTOCOL_VERSION
 
@@ -112,28 +112,3 @@ def test_read_manifest_rejects_bad_json(tmp_path):
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(GraphFormatError):
         read_manifest(p)
-
-
-def test_snapshot_attach_manifest(tmp_path):
-    from repro.bench.snapshot import PerfSnapshot, load_snapshot
-
-    snap = PerfSnapshot("unit", path=tmp_path / "BENCH_unit.json")
-    snap.add_run("exp", "fig3", "afforest", "serial", 1, 0.1)
-    snap.attach_manifest(collect_manifest())
-    path = snap.write()
-    doc = load_snapshot(path)
-    assert doc["manifest"]["schema"] == MANIFEST_SCHEMA
-    # reloading the snapshot keeps the manifest
-    snap2 = PerfSnapshot("unit", path=path)
-    assert snap2.doc["manifest"]["schema"] == MANIFEST_SCHEMA
-    with pytest.raises(GraphFormatError):
-        snap.attach_manifest({"schema": "nope"})
-
-
-def test_snapshot_validation_rejects_bad_manifest(tmp_path):
-    from repro.bench.snapshot import PerfSnapshot, validate_snapshot
-
-    snap = PerfSnapshot("unit2", path=tmp_path / "BENCH_unit2.json")
-    snap.doc["manifest"] = {"schema": "wrong"}
-    with pytest.raises(ValueError):
-        validate_snapshot(snap.doc)

@@ -136,18 +136,21 @@ def _build_with_registry(backend_name, workers):
             backend = backend_name
         ctx = ExecutionContext(backend=backend, num_workers=workers)
         try:
-            build_index(g, ctx=ctx)
+            result = build_index(g, ctx=ctx)
         finally:
             if backend_name == "process":
                 ctx.close()
-    return ctx, registry
+    return result, ctx, registry
 
 
 @pytest.mark.process_backend
 @needs_fork
 def test_four_worker_build_ships_spans_and_reduces_counters_bit_exactly():
-    serial_ctx, serial_reg = _build_with_registry("serial", 1)
-    proc_ctx, proc_reg = _build_with_registry("process", 4)
+    serial_res, serial_ctx, serial_reg = _build_with_registry("serial", 1)
+    proc_res, proc_ctx, proc_reg = _build_with_registry("process", 4)
+
+    # the four-worker index is bit-identical to the serial one
+    assert proc_res.index == serial_res.index
 
     # every Worker[i] span contains >= 1 kernel span recorded inside the
     # worker process, attributed via worker_id/pid

@@ -27,6 +27,7 @@ from repro.store import STORE_FORMAT_VERSION, IndexStore, attach_store
 from repro.store.format import REQUIRED_SECTIONS, store_dtype
 from repro.store.reader import inspect_store, verify_store
 from repro.store.writer import write_store
+from tests.graph.keyed_oracle import keyed_csr
 
 GRAPHS = {
     "er": lambda: erdos_renyi_gnm(300, 2600, seed=11),
@@ -75,6 +76,8 @@ def test_write_attach_bit_identical(tmp_path, name, variant):
         assert store.header["store_dtype"] == "<i4"
         assert store.components is not None
         assert store.generation == 1
+        assert store.bytes_mapped == result.store_path.stat().st_size
+        assert store.header["payload_bytes"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -217,7 +220,6 @@ def test_variants_write_identical_payloads(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_store_carries_edge_order_and_rebuild_skips_sort(tmp_path):
-    from repro.graph.csr import _from_edgelist_keyed
     from repro.store.format import EDGE_ORDER_SECTION
 
     g = _graph("er")
@@ -233,7 +235,7 @@ def test_store_carries_edge_order_and_rebuild_skips_sort(tmp_path):
         # edge_sort_order() must serve the mapped section, not re-sort
         assert store.graph.edge_sort_order() is mapped
         rebuilt = store.rebuild_graph()
-        ref = _from_edgelist_keyed(g.edges)
+        ref = keyed_csr(g.edges)
         assert np.array_equal(np.asarray(rebuilt.indptr), np.asarray(ref.indptr))
         assert np.array_equal(np.asarray(rebuilt.indices), np.asarray(ref.indices))
         assert np.array_equal(
