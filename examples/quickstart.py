@@ -9,11 +9,15 @@ straight from the summary graph.
 Run:  python examples/quickstart.py
 """
 
+import tempfile
+from pathlib import Path
+
 from repro.community import search_communities
 from repro.community.search import query_candidate_ks
 from repro.equitruss import build_index
 from repro.graph import CSRGraph
 from repro.graph.generators import paper_example_graph
+from repro.store import attach_store, write_store
 
 
 def main() -> None:
@@ -41,13 +45,13 @@ def main() -> None:
         for i, c in enumerate(communities):
             print(f"  community {i}: {c.num_vertices} vertices {c.vertices().tolist()}")
 
-    # 4. Persist and reload.
-    index.save("/tmp/equitruss_quickstart.npz")
-    from repro.equitruss import EquiTrussIndex
-
-    reloaded = EquiTrussIndex.load("/tmp/equitruss_quickstart.npz")
-    assert reloaded == index
-    print("\nindex round-tripped through /tmp/equitruss_quickstart.npz")
+    # 4. Persist as an mmap-attachable store and attach it again (what
+    #    `repro index --out g.eqtsidx` and every serving process do).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_store(index, Path(tmp) / "quickstart.eqtsidx")
+        with attach_store(path) as store:
+            assert store.index == index
+        print(f"\nindex round-tripped through a store ({path.name})")
 
 
 if __name__ == "__main__":

@@ -47,9 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
-        help="finding output format (sarif: SARIF 2.1.0 for code-scanning "
-        "upload)",
+        "--format", default="text", choices=["text", "json"],
+        help="finding output format",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -135,12 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         baseline = Baseline.load(bpath)
         new, stale = baseline.split(findings)
 
-    if args.format == "sarif":
-        from repro.analysis.sarif import render_sarif
-
-        docs = [(r.id, r.title, r.hint) for r in rules]
-        print(json.dumps(render_sarif(new, docs), indent=2))
-    elif args.format == "json":
+    if args.format == "json":
         print(json.dumps(
             {
                 "findings": [f.to_json() for f in new],

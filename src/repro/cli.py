@@ -6,16 +6,20 @@ generate
     Materialize a synthetic dataset stand-in or a generator model to a
     graph file (``.npz`` or SNAP text).
 index
-    Build the EquiTruss index for a graph file and persist it.
+    Build the EquiTruss index for a graph file and persist it as an
+    ``.eqtsidx`` store, the one index file every other command reads.
 query
-    Answer local community queries from a saved index.
+    Answer local community queries from a store.
 serve
     Run the sharded TCP serving frontend over a persisted store.
 loadgen
     Drive open/closed-loop load against a running frontend.
 info
-    Summarize a graph or index file, or (``--trace``) print the
+    Summarize a graph or store file, or (``--trace``) print the
     per-kernel breakdown of a saved JSONL trace.
+
+Every command that fails on a library error or an unreadable file
+prints ``FAILED: <message>`` on stderr and exits 1.
 
 ``index`` accepts ``--trace-out``/``--metrics-out`` to export the run's
 span trace (JSONL) and metrics snapshot (JSON); the global
@@ -27,8 +31,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from repro import __version__
 
@@ -102,25 +104,23 @@ def _cmd_index(args: argparse.Namespace) -> int:
         emitter.start()
     result = build_index(
         graph, variant=args.variant, ctx=ctx,
-        store_path=args.store_out, store_generation=args.store_generation,
+        store_path=args.out, store_generation=args.store_generation,
     )
     index = result.index
     index.validate()
-    index.save(args.out)
     stats = index.stats()
-    if result.store_path is not None:
-        size = Path(result.store_path).stat().st_size
-        print(
-            f"wrote store (gen {args.store_generation}, "
-            f"{format_bytes(size)}) -> {result.store_path}"
-        )
+    size = Path(result.store_path).stat().st_size
+    print(
+        f"wrote store (gen {args.store_generation}, "
+        f"{format_bytes(size)}) -> {result.store_path}"
+    )
     log.info(kv("build_index", variant=args.variant, seconds=f"{result.seconds:.4f}",
                 supernodes=stats["num_supernodes"],
                 superedges=stats["num_superedges"]))
     print(
         f"built {args.variant} index in {result.seconds:.3f}s: "
         f"{stats['num_supernodes']} supernodes, {stats['num_superedges']} superedges, "
-        f"kmax={stats['kmax']} -> {args.out}"
+        f"kmax={stats['kmax']}"
     )
     registry = get_registry()
     ws_peak = registry.gauge("repro.mem.workspace_high_water").value
@@ -223,23 +223,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         search_communities,
         top_r_communities,
     )
-    from repro.equitruss import EquiTrussIndex
+    from repro.store import attach_store
 
-    index = EquiTrussIndex.load(args.index)
-    ctx = _make_context(args)
     use_components = args.engine == "components"
     if use_components and (args.max_k or args.top_r is not None):
         print("--max-k/--top-r require --engine bfs", file=sys.stderr)
         return 2
-
-    engine = None
-    if use_components:
-        from repro.serve import QueryEngine
-
-        engine = QueryEngine(index, ctx=ctx)
-        if args.warm_cache:
-            print(f"warmed {engine.warm()} communities")
-
+    requests = None
     if args.batch_file:
         if args.vertex is not None:
             print("--batch-file and --vertex are mutually exclusive", file=sys.stderr)
@@ -249,104 +239,99 @@ def _cmd_query(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        t0 = time.perf_counter()
-        with ctx.region("ServeBatch", work=len(requests), parallel=False):
-            if use_components:
-                answers = _query_by_k(engine, requests)
-            else:
-                answers = [search_communities(index, v, k, ctx=ctx) for v, k in requests]
-        elapsed = time.perf_counter() - t0
-        for (v, k), communities in zip(requests, answers):
-            sizes = ",".join(str(c.num_edges) for c in communities)
-            print(f"vertex {v} k={k}: {len(communities)} communities [{sizes}]")
-        qps = len(requests) / elapsed if elapsed > 0 else float("inf")
-        print(
-            f"served {len(requests)} queries in {elapsed:.4f}s "
-            f"({qps:.0f} q/s, engine={args.engine})"
-        )
-    else:
-        if args.vertex is None:
-            print("either --vertex or --batch-file is required", file=sys.stderr)
-            return 2
-        if args.max_k:
+    elif args.vertex is None:
+        print("either --vertex or --batch-file is required", file=sys.stderr)
+        return 2
+    if requests is None and not args.max_k and args.top_r is None and args.k is None:
+        print("either --k, --top-r, or --max-k is required", file=sys.stderr)
+        return 2
+
+    with _make_context(args) as ctx:  # its close releases the mapping
+        store = attach_store(args.index, ctx=ctx)
+        index = store.index
+        engine = None
+        if use_components:
+            # the stored component tables: no union-find sweep at startup
+            engine = store.engine()
+            if args.warm_cache:
+                print(f"warmed {engine.warm()} communities")
+
+        if requests is not None:
+            t0 = time.perf_counter()
+            with ctx.region("ServeBatch", work=len(requests), parallel=False):
+                if use_components:
+                    answers = _query_by_k(engine, requests)
+                else:
+                    answers = [search_communities(index, v, k, ctx=ctx) for v, k in requests]
+            elapsed = time.perf_counter() - t0
+            for (v, k), communities in zip(requests, answers):
+                sizes = ",".join(str(c.num_edges) for c in communities)
+                print(f"vertex {v} k={k}: {len(communities)} communities [{sizes}]")
+            qps = len(requests) / elapsed if elapsed > 0 else float("inf")
+            print(
+                f"served {len(requests)} queries in {elapsed:.4f}s "
+                f"({qps:.0f} q/s, engine={args.engine})"
+            )
+        elif args.max_k:
             k, communities = max_k_communities(index, args.vertex)
-            if not communities:
+            if communities:
+                print(f"vertex {args.vertex}: maximum cohesion k={k}")
+                _print_communities(communities, f"vertex {args.vertex}")
+            else:
                 print(f"vertex {args.vertex}: no k-truss community")
-                return 0
-            print(f"vertex {args.vertex}: maximum cohesion k={k}")
-        elif args.top_r is not None:
-            communities = top_r_communities(index, args.vertex, args.top_r)
         else:
-            if args.k is None:
-                print("either --k, --top-r, or --max-k is required", file=sys.stderr)
-                return 2
-            if use_components:
+            if args.top_r is not None:
+                communities = top_r_communities(index, args.vertex, args.top_r)
+            elif use_components:
                 communities = engine.query(args.vertex, args.k)
             else:
                 communities = search_communities(index, args.vertex, args.k, ctx=ctx)
-        _print_communities(communities, f"vertex {args.vertex}")
+            _print_communities(communities, f"vertex {args.vertex}")
 
-    if engine is not None:
-        s = engine.stats()
-        print(
-            f"cache: {s['cache_hits']} hits / {s['cache_misses']} misses, "
-            f"{s['materialized_communities']} communities materialized"
-        )
-    if args.trace_out:
-        from repro.obs.export import write_trace_jsonl
+        if engine is not None:
+            s = engine.stats()
+            print(
+                f"cache: {s['cache_hits']} hits / {s['cache_misses']} misses, "
+                f"{s['materialized_communities']} communities materialized"
+            )
+        if args.trace_out:
+            from repro.obs.export import write_trace_jsonl
 
-        path = write_trace_jsonl(ctx.tracer, args.trace_out)
-        print(f"wrote trace -> {path}")
-    ctx.close()
+            path = write_trace_jsonl(ctx.tracer, args.trace_out)
+            print(f"wrote trace -> {path}")
     return 0
 
 
 def _cmd_attach(args: argparse.Namespace) -> int:
-    """mmap-attach a store and (optionally) serve queries from it."""
-    from repro.errors import StoreError
+    """mmap-attach a store and report what was mapped."""
     from repro.obs.report import format_bytes
     from repro.store import attach_store
 
-    ctx = _make_context(args)
-    try:
+    with _make_context(args) as ctx:  # its close releases the mapping
         store = attach_store(args.store, verify=args.verify, ctx=ctx)
-    except StoreError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
-    tables = "stored component tables" if store.components is not None \
-        else "no component tables (sweep on demand)"
-    print(
-        f"attached {args.store} in {store.attach_ms:.2f} ms "
-        f"(gen {store.generation}, {format_bytes(store.bytes_mapped)} mapped, "
-        f"{tables})"
-    )
-    if args.refresh:
-        report = store.refresh()
-        what = "re-attached after swap" if report.swapped else \
-            f"replayed {report.applied} journal entries"
-        print(f"refresh: {what} (gen {report.generation})")
-    else:
-        lag = store.pending_updates()
-        if lag:
-            print(f"journal lag: {lag} unapplied update batches (--refresh applies)")
-    if args.vertex is not None:
-        if args.k is None:
-            print("--vertex requires --k", file=sys.stderr)
-            store.close()
-            ctx.close()
-            return 2
-        engine = store.engine()
-        communities = engine.query(args.vertex, args.k)
-        _print_communities(communities, f"vertex {args.vertex}")
-    ctx.close()  # releases the mapping via the registered closer
-    return 0
+        tables = "stored component tables" if store.components is not None \
+            else "no component tables (sweep on demand)"
+        print(
+            f"attached {args.store} in {store.attach_ms:.2f} ms "
+            f"(gen {store.generation}, {format_bytes(store.bytes_mapped)} mapped, "
+            f"{tables})"
+        )
+        if args.refresh:
+            report = store.refresh()
+            what = "re-attached after swap" if report.swapped else \
+                f"replayed {report.applied} journal entries"
+            print(f"refresh: {what} (gen {report.generation})")
+        else:
+            lag = store.pending_updates()
+            if lag:
+                print(f"journal lag: {lag} unapplied update batches (--refresh applies)")
+        return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the sharded serving frontend over a persisted store."""
     import asyncio
 
-    from repro.errors import ServeError, StoreError
     from repro.serve.frontend import FrontendConfig, run_frontend
 
     config = FrontendConfig(
@@ -378,9 +363,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(
             run_frontend(config, duration=args.duration, on_ready=on_ready)
         )
-    except (ServeError, StoreError) as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         pass
     return 0
@@ -443,43 +425,38 @@ def _cmd_store(args: argparse.Namespace) -> int:
     """Inspect / verify a store file without serving from it."""
     import json
 
-    from repro.errors import StoreError
     from repro.store import inspect_store, verify_store
 
-    try:
-        if args.store_command == "verify":
-            report = verify_store(args.store)
-            print(
-                f"OK: {report['sections']} sections, "
-                f"{report['payload_bytes']} payload bytes, "
-                f"generation {report['generation']}, checksums + fingerprint match"
-            )
-            return 0
-        info = inspect_store(args.store)
-        if args.json:
-            print(json.dumps(info, indent=2, sort_keys=True))
-            return 0
-        print(f"store {info['path']} (format v{info['format_version']})")
+    if args.store_command == "verify":
+        report = verify_store(args.store)
         print(
-            f"  generation {info['generation']}, "
-            f"{info['num_vertices']} vertices / {info['num_edges']} edges, "
-            f"dataset sha256 {info['dataset_sha256'][:12]}…"
+            f"OK: {report['sections']} sections, "
+            f"{report['payload_bytes']} payload bytes, "
+            f"generation {report['generation']}, checksums + fingerprint match"
         )
-        print(
-            f"  payload {info['payload_bytes']} bytes in "
-            f"{len(info['sections'])} sections, components="
-            f"{'yes' if info['has_components'] else 'no'}, "
-            f"git {info['git_sha'] or 'unknown'}"
-        )
-        for name, entry in info["sections"].items():
-            print(
-                f"    {name:<28} {entry['dtype']:<5} "
-                f"shape={entry['shape']} ({entry['nbytes']} bytes)"
-            )
         return 0
-    except StoreError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
+    info = inspect_store(args.store)
+    if args.json:
+        print(json.dumps(info, indent=2, sort_keys=True))
+        return 0
+    print(f"store {info['path']} (format v{info['format_version']})")
+    print(
+        f"  generation {info['generation']}, "
+        f"{info['num_vertices']} vertices / {info['num_edges']} edges, "
+        f"dataset sha256 {info['dataset_sha256'][:12]}…"
+    )
+    print(
+        f"  payload {info['payload_bytes']} bytes in "
+        f"{len(info['sections'])} sections, components="
+        f"{'yes' if info['has_components'] else 'no'}, "
+        f"git {info['git_sha'] or 'unknown'}"
+    )
+    for name, entry in info["sections"].items():
+        print(
+            f"    {name:<28} {entry['dtype']:<5} "
+            f"shape={entry['shape']} ({entry['nbytes']} bytes)"
+        )
+    return 0
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -508,24 +485,23 @@ def _cmd_info(args: argparse.Namespace) -> int:
             print(flamegraph(spans))
         return 0
     if args.file is None:
-        print("either a graph/index file or --trace is required", file=sys.stderr)
+        print("either a graph/store file or --trace is required", file=sys.stderr)
         return 2
-    path = Path(args.file)
-    with np.load(path) as data:
-        is_index = "supernode_trussness" in data.files
-    if is_index:
-        from repro.equitruss import EquiTrussIndex
+    from repro.store import STORE_MAGIC, attach_store
 
-        index = EquiTrussIndex.load(path)
-        print(f"EquiTruss index over {index.graph.num_vertices} vertices / "
-              f"{index.graph.num_edges} edges")
-        for key, value in index.stats().items():
-            print(f"  {key}: {value}")
+    with open(args.file, "rb") as fh:
+        is_store = fh.read(len(STORE_MAGIC)) == STORE_MAGIC
+    if is_store:
+        with attach_store(args.file) as store:
+            print(f"EquiTruss index over {store.graph.num_vertices} vertices / "
+                  f"{store.graph.num_edges} edges")
+            for key, value in store.index.stats().items():
+                print(f"  {key}: {value}")
     else:
         from repro.graph.io import load_graph
         from repro.graph.properties import summarize
 
-        graph = load_graph(path)
+        graph = load_graph(args.file)
         s = summarize(graph.edges)
         print(f"graph: {s.num_vertices} vertices, {s.num_edges} edges, "
               f"max degree {s.max_degree}, mean degree {s.mean_degree:.2f}, "
@@ -534,20 +510,16 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.equitruss import EquiTrussIndex
     from repro.equitruss.verify import verify_index_semantics
-    from repro.errors import IndexIntegrityError
+    from repro.store import attach_store
 
-    index = EquiTrussIndex.load(args.index)
-    try:
-        verify_index_semantics(index.graph, index, ctx=_make_context(args))
-    except IndexIntegrityError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"OK: {index.num_supernodes} supernodes / {index.num_superedges} "
-        f"superedges satisfy Definitions 8 and 9"
-    )
+    with _make_context(args) as ctx:
+        store = attach_store(args.index, ctx=ctx)
+        verify_index_semantics(store.graph, store.index, ctx=ctx)
+        print(
+            f"OK: {store.index.num_supernodes} supernodes / "
+            f"{store.index.num_superedges} superedges satisfy Definitions 8 and 9"
+        )
     return 0
 
 
@@ -606,9 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dtype", default="auto", choices=["auto", "int32", "int64"],
                        help="index dtype policy (auto narrows to int32 when safe)")
 
-    idx = sub.add_parser("index", help="build and save an EquiTruss index")
+    idx = sub.add_parser("index", help="build an EquiTruss index and write its store")
     idx.add_argument("graph", help="graph file (.npz or SNAP text)")
-    idx.add_argument("--out", required=True, help="output index .npz")
+    idx.add_argument("--out", required=True,
+                     help="output .eqtsidx store (atomic swap; includes the "
+                          "precomputed serving tables)")
     idx.add_argument("--variant", default="afforest",
                      choices=["baseline", "coptimal", "afforest"])
     add_context_flags(idx)
@@ -623,9 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     idx.add_argument("--manifest-out", default=None, metavar="PATH",
                      help="write a run-provenance manifest (defaults to "
                           "<trace-out>.manifest.json when --trace-out is given)")
-    idx.add_argument("--store-out", default=None, metavar="PATH",
-                     help="also persist a binary mmap-attach store (atomic "
-                          "swap; includes the precomputed serving tables)")
     idx.add_argument("--store-generation", type=int, default=1,
                      help="journal epoch of the store artifact (bump past "
                           "absorbed journal entries when swapping a live store)")
@@ -633,11 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     att = sub.add_parser(
         "attach",
-        help="mmap-attach a persisted store and serve queries in milliseconds",
+        help="mmap-attach a store, optionally verifying or refreshing it",
     )
-    att.add_argument("store", help="store file from index --store-out")
-    att.add_argument("--vertex", type=int, default=None)
-    att.add_argument("--k", type=int, default=None)
+    att.add_argument("store", help="store file from index --out")
     att.add_argument("--verify", action="store_true",
                      help="check every section checksum before serving")
     att.add_argument("--refresh", action="store_true",
@@ -703,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     st_verify.add_argument("store")
     st_verify.set_defaults(func=_cmd_store)
 
-    q = sub.add_parser("query", help="local community search from a saved index")
-    q.add_argument("index", help="index .npz from the index subcommand")
+    q = sub.add_parser("query", help="local community search from a store")
+    q.add_argument("index", help="store file from index --out")
     q.add_argument("--vertex", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
     q.add_argument("--top-r", type=int, default=None,
@@ -713,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query at the vertex's maximum cohesion level")
     q.add_argument("--engine", default="bfs", choices=["bfs", "components"],
                    help="bfs: per-query supergraph BFS; components: the "
-                        "precomputed-component serving engine")
+                        "serving engine over the stored component tables")
     q.add_argument("--batch-file", default=None, metavar="PATH",
                    help="serve a batch: one 'vertex [k]' request per line "
                         "(k falls back to --k)")
@@ -725,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_context_flags(q)
     q.set_defaults(func=_cmd_query)
 
-    info = sub.add_parser("info", help="summarize a graph, index, or trace file")
+    info = sub.add_parser("info", help="summarize a graph, store, or trace file")
     info.add_argument("file", nargs="?", default=None)
     info.add_argument("--trace", default=None, metavar="PATH",
                       help="print the per-kernel breakdown of a saved JSONL trace")
@@ -734,9 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=_cmd_info)
 
     ver = sub.add_parser(
-        "verify", help="deep semantic verification of a saved index"
+        "verify", help="deep semantic verification of a stored index"
     )
-    ver.add_argument("index", help="index .npz (embeds its graph)")
+    ver.add_argument("index", help="store file from index --out (embeds its graph)")
     add_context_flags(ver)
     ver.set_defaults(func=_cmd_verify)
 
@@ -754,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--rules", default=None, metavar="REP001,REP003",
                       help="comma-separated rule ids to run")
     lint.add_argument("--format", default="text",
-                      choices=["text", "json", "sarif"])
+                      choices=["text", "json"])
     lint.add_argument("--list-rules", action="store_true",
                       help="print every rule id with its contract")
     lint.set_defaults(func=_cmd_lint)
@@ -768,7 +737,13 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.logging import setup_logging
 
         setup_logging(args.log_level)
-    return args.func(args)
+    from repro.errors import ReproError
+
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

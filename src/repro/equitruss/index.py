@@ -11,13 +11,10 @@ byte-level equality in tests):
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.errors import IndexIntegrityError, InvalidParameterError
 from repro.graph.csr import CSRGraph
-from repro.graph.edgelist import EdgeList
 from repro.utils.sorting import group_by, unique_sorted
 
 
@@ -262,38 +259,6 @@ class EquiTrussIndex:
             keys = se[:, 0] * np.int64(s) + se[:, 1]
             if np.unique(keys).size != keys.size:
                 raise IndexIntegrityError("duplicate superedges")
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Persist index + indexed edge list to a NumPy archive."""
-        np.savez_compressed(
-            path,
-            u=self.graph.edges.u,
-            v=self.graph.edges.v,
-            num_vertices=np.int64(self.graph.num_vertices),
-            trussness=self.trussness,
-            edge_supernode=self.edge_supernode,
-            supernode_trussness=self.supernode_trussness,
-            supernode_indptr=self.supernode_indptr,
-            supernode_edges=self.supernode_edges,
-            superedges=self.superedges,
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EquiTrussIndex":
-        with np.load(path) as data:
-            edges = EdgeList(data["u"], data["v"], int(data["num_vertices"]))
-            return cls(
-                graph=CSRGraph.from_edgelist(edges),
-                trussness=data["trussness"],
-                edge_supernode=data["edge_supernode"],
-                supernode_trussness=data["supernode_trussness"],
-                supernode_indptr=data["supernode_indptr"],
-                supernode_edges=data["supernode_edges"],
-                superedges=data["superedges"],
-            )
 
     # ------------------------------------------------------------------
     # Reporting

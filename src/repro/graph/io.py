@@ -9,6 +9,7 @@ stand-in datasets.
 from __future__ import annotations
 
 import io as _io
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,10 @@ def read_snap_text(path: str | Path | _io.TextIOBase) -> EdgeList:
     """
     if isinstance(path, (str, Path)):
         with open(path, "r", encoding="utf-8") as fh:
-            return read_snap_text(fh)
+            try:
+                return read_snap_text(fh)
+            except UnicodeDecodeError as exc:
+                raise GraphFormatError(f"{path}: not a text edge list ({exc})") from exc
     src: list[int] = []
     dst: list[int] = []
     for lineno, line in enumerate(path, start=1):
@@ -62,7 +66,11 @@ def save_npz(edges: EdgeList, path: str | Path) -> None:
 
 def load_npz(path: str | Path) -> EdgeList:
     """Load an edge list previously stored with :func:`save_npz`."""
-    with np.load(path) as data:
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise GraphFormatError(f"{path}: not a graph .npz archive ({exc})") from exc
+    with archive as data:
         try:
             return EdgeList(data["u"], data["v"], int(data["num_vertices"]))
         except KeyError as exc:

@@ -18,13 +18,14 @@ cost is amortized across processes*. This package is that amortization:
   :class:`~repro.equitruss.dynamic.DynamicEquiTruss` so attached
   readers replay small deltas in place and re-attach after a swap.
 
-:class:`IndexStore` is the façade::
+The store is the one persisted form of the index: ``repro index
+--out`` writes it and every other command attaches it::
 
-    IndexStore.write(result.index, "graph.eqt", components=components)
-    with IndexStore.attach("graph.eqt") as store:   # milliseconds
+    write_store(result.index, "graph.eqtsidx", components=components)
+    with attach_store("graph.eqtsidx") as store:   # milliseconds
         engine = store.engine()
-        engine.query(vertex, k)                     # ≡ built-from-scratch
-        store.refresh()                             # journal replay / re-attach
+        engine.query(vertex, k)                    # ≡ built-from-scratch
+        store.refresh()                            # journal replay / re-attach
 """
 
 from repro.errors import CorruptStoreError, StaleStoreError, StoreError
@@ -45,21 +46,9 @@ from repro.store.reader import (
 )
 from repro.store.writer import write_store
 
-
-class IndexStore:
-    """Facade over the writer/reader/journal protocol."""
-
-    write = staticmethod(write_store)
-    attach = staticmethod(attach_store)
-    inspect = staticmethod(inspect_store)
-    verify = staticmethod(verify_store)
-    journal = staticmethod(StoreJournal.for_store)
-
-
 __all__ = [
     "AttachedStore",
     "CorruptStoreError",
-    "IndexStore",
     "JournalEntry",
     "JournalReader",
     "RefreshReport",

@@ -197,10 +197,10 @@ class RefreshReport:
 class AttachedStore:
     """A read-only mmap view of one store file, usable for serving.
 
-    Prefer :func:`attach_store` / ``IndexStore.attach``. The attached
-    arrays are zero-copy views into the mapping; everything derived
-    (index, components, engines) shares the page cache across
-    processes. Use as a context manager — or register with an
+    Prefer :func:`attach_store`. The attached arrays are zero-copy
+    views into the mapping; everything derived (index, components,
+    engines) shares the page cache across processes. Use as a context
+    manager — or register with an
     :class:`~repro.parallel.context.ExecutionContext` via ``ctx=`` —
     so the mapping is released before backend teardown unlinks shared
     resources.

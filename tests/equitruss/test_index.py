@@ -66,11 +66,13 @@ def test_supernode_adjacency(paper_index):
 
 
 def test_save_load_roundtrip(tmp_path, paper_index):
-    p = tmp_path / "index.npz"
-    paper_index.save(p)
-    loaded = type(paper_index).load(p)
-    assert loaded == paper_index
-    loaded.validate()
+    from repro.store import attach_store, write_store
+
+    p = write_store(paper_index, tmp_path / "index.eqtsidx")
+    with attach_store(p) as store:
+        loaded = store.index
+        assert loaded == paper_index
+        loaded.validate()
 
 
 def test_validate_catches_corruption(paper_index):

@@ -25,7 +25,7 @@ def run_artifacts(tmp_path_factory):
     trace = tmp / "t.jsonl"
     metrics = tmp / "m.json"
     assert main(["index", str(graph), "--variant", "afforest",
-                 "--out", str(tmp / "i.npz"),
+                 "--out", str(tmp / "i.eqtsidx"),
                  "--trace-out", str(trace), "--metrics-out", str(metrics)]) == 0
     return trace, metrics
 
@@ -38,8 +38,9 @@ def test_trace_covers_all_six_paper_kernels(run_artifacts):
     # hierarchy: per-level wrapper spans carry the k attribute
     level_ks = [r["attrs"]["k"] for r in spans if r["name"] == "Level"]
     assert level_ks == sorted(level_ks) and len(level_ks) >= 1
+    # index --out persists the store after the build: a second root
     roots = [r for r in spans if r["parent"] is None]
-    assert [r["name"] for r in roots] == ["BuildIndex"]
+    assert [r["name"] for r in roots] == ["BuildIndex", "StoreWrite"]
 
 
 def test_metrics_snapshot_has_enough_distinct_names(run_artifacts):
@@ -90,7 +91,7 @@ def test_index_writes_prometheus_and_manifest(tmp_path):
                  "--seed", "1", "--out", str(graph)]) == 0
     trace = tmp_path / "t.jsonl"
     prom = tmp_path / "metrics.prom"
-    assert main(["index", str(graph), "--out", str(tmp_path / "i.npz"),
+    assert main(["index", str(graph), "--out", str(tmp_path / "i.eqtsidx"),
                  "--trace-out", str(trace), "--prom-out", str(prom)]) == 0
     text = prom.read_text(encoding="utf-8")
     assert "# TYPE repro_pipeline_builds counter" in text
@@ -109,7 +110,7 @@ def test_index_env_driven_metrics_stream(tmp_path, monkeypatch):
     stream = tmp_path / "stream.jsonl"
     monkeypatch.setenv("REPRO_METRICS_INTERVAL", "60")
     monkeypatch.setenv("REPRO_METRICS_PATH", str(stream))
-    assert main(["index", str(graph), "--out", str(tmp_path / "i.npz")]) == 0
+    assert main(["index", str(graph), "--out", str(tmp_path / "i.eqtsidx")]) == 0
     records = read_metrics_jsonl(stream)
     assert len(records) >= 1  # stop() always flushes a final snapshot
     assert records[-1]["metrics"]["repro.pipeline.builds"] == 1

@@ -23,7 +23,7 @@ from repro.graph.generators import (
     paper_example_graph,
     rmat_graph,
 )
-from repro.store import STORE_FORMAT_VERSION, IndexStore, attach_store
+from repro.store import STORE_FORMAT_VERSION, attach_store
 from repro.store.format import REQUIRED_SECTIONS, store_dtype
 from repro.store.reader import inspect_store, verify_store
 from repro.store.writer import write_store
@@ -184,16 +184,16 @@ def test_inspect_and_verify_report(tmp_path):
     assert report["store_dtype"] == "<i4"
 
 
-def test_store_facade(tmp_path):
+def test_store_without_component_tables(tmp_path):
     g = _graph("paper")
     index = build_index(g, "afforest").index
-    path = IndexStore.write(index, tmp_path / "g.eqtsidx")
-    with IndexStore.attach(path) as store:
+    path = write_store(index, tmp_path / "g.eqtsidx")
+    with attach_store(path) as store:
         assert_index_identical(index, store)
         assert store.components is None  # written without serving tables
         assert store.engine().query(10, 3)  # sweep fallback still works
-    assert IndexStore.verify(path)["ok"]
-    assert IndexStore.inspect(path)["generation"] == 1
+    assert verify_store(path)["ok"]
+    assert inspect_store(path)["generation"] == 1
 
 
 def test_variants_write_identical_payloads(tmp_path):

@@ -1,4 +1,8 @@
-"""End-to-end CLI tests (generate → index → query → info)."""
+"""End-to-end CLI tests (generate → index → query → info).
+
+``index --out`` writes the ``.eqtsidx`` store; every other command
+reads that one file.
+"""
 
 import pytest
 
@@ -13,7 +17,7 @@ def test_version(capsys):
 
 def test_generate_index_query_info_roundtrip(tmp_path, capsys):
     graph_path = tmp_path / "g.npz"
-    index_path = tmp_path / "g.index.npz"
+    index_path = tmp_path / "g.eqtsidx"
 
     assert main(["generate", "gnm", "--n", "60", "--m", "280",
                  "--seed", "4", "--out", str(graph_path)]) == 0
@@ -24,6 +28,7 @@ def test_generate_index_query_info_roundtrip(tmp_path, capsys):
                  "--variant", "coptimal", "--breakdown"]) == 0
     out = capsys.readouterr().out
     assert "built coptimal index" in out
+    assert "wrote store (gen 1, " in out and str(index_path) in out
     assert "SpNode" in out
 
     assert main(["query", str(index_path), "--vertex", "0", "--max-k"]) == 0
@@ -32,34 +37,44 @@ def test_generate_index_query_info_roundtrip(tmp_path, capsys):
     assert main(["query", str(index_path), "--vertex", "0", "--top-r", "2"]) == 0
     capsys.readouterr()
 
-    assert main(["info", str(graph_path)]) == 0
-    out = capsys.readouterr().out
-    assert "graph: 60 vertices" in out
+    text_path = tmp_path / "g.txt"  # the same graph as SNAP text
+    assert main(["generate", "gnm", "--n", "60", "--m", "280",
+                 "--seed", "4", "--out", str(text_path)]) == 0
+    capsys.readouterr()
+    for path in (graph_path, text_path):
+        assert main(["info", str(path)]) == 0
+        assert "graph: 60 vertices, 280 edges" in capsys.readouterr().out
 
-    assert main(["info", str(index_path)]) == 0
-    out = capsys.readouterr().out
-    assert "EquiTruss index" in out
-    assert "num_supernodes" in out
+    # a store is recognised by its magic bytes, whatever its suffix
+    renamed = tmp_path / "store.npz"
+    renamed.write_bytes(index_path.read_bytes())
+    for path in (index_path, renamed):
+        assert main(["info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "EquiTruss index over 60 vertices / 280 edges" in out
+        assert "num_supernodes" in out
 
 
 def test_verify_subcommand(tmp_path, capsys):
+    from repro.equitruss import build_index
+    from repro.graph.io import load_graph
+    from repro.store import write_store
+
     graph_path = tmp_path / "g.npz"
-    index_path = tmp_path / "i.npz"
+    index_path = tmp_path / "i.eqtsidx"
     main(["generate", "gnm", "--n", "40", "--m", "180", "--seed", "2",
           "--out", str(graph_path)])
     main(["index", str(graph_path), "--out", str(index_path)])
     capsys.readouterr()
     assert main(["verify", str(index_path)]) == 0
     assert "OK" in capsys.readouterr().out
-    # corrupt the index and verify again
-    from repro.equitruss import EquiTrussIndex
-
-    idx = EquiTrussIndex.load(index_path)
-    if idx.superedges.shape[0]:
-        idx.superedges = idx.superedges[:-1]
-        idx.save(index_path)
-        assert main(["verify", str(index_path)]) == 1
-        assert "FAILED" in capsys.readouterr().err
+    # drop the last superedge; write_store persists the index unvalidated
+    idx = build_index(load_graph(graph_path)).index
+    assert idx.superedges.shape[0]
+    idx.superedges = idx.superedges[:-1]
+    write_store(idx, index_path)
+    assert main(["verify", str(index_path)]) == 1
+    assert "FAILED" in capsys.readouterr().err
 
 
 def test_generate_dataset_and_text_format(tmp_path, capsys):
@@ -87,7 +102,7 @@ def test_generate_unknown_model(tmp_path, capsys):
 
 def test_query_requires_level(tmp_path, capsys):
     graph_path = tmp_path / "g.npz"
-    index_path = tmp_path / "i.npz"
+    index_path = tmp_path / "i.eqtsidx"
     main(["generate", "gnm", "--n", "20", "--m", "60", "--out", str(graph_path)])
     main(["index", str(graph_path), "--out", str(index_path)])
     capsys.readouterr()
@@ -104,7 +119,7 @@ def test_index_context_flags_and_trace_memory(tmp_path, capsys):
 
     outs = {}
     for dtype in ("auto", "int32", "int64"):
-        index_path = tmp_path / f"i-{dtype}.npz"
+        index_path = tmp_path / f"i-{dtype}.eqtsidx"
         assert main(["index", str(graph_path), "--out", str(index_path),
                      "--dtype", dtype, "--backend", "process", "--workers", "2",
                      "--trace-out", str(trace_path)]) == 0
@@ -115,30 +130,32 @@ def test_index_context_flags_and_trace_memory(tmp_path, capsys):
     assert "dtype=int64" in outs["int64"]
 
     # the three builds agree bit-for-bit
-    from repro.equitruss import EquiTrussIndex
+    from repro.store import attach_store
 
-    built = {d: EquiTrussIndex.load(tmp_path / f"i-{d}.npz")
-             for d in ("auto", "int32", "int64")}
-    assert built["auto"] == built["int64"] == built["int32"]
+    stores = {d: attach_store(tmp_path / f"i-{d}.eqtsidx")
+              for d in ("auto", "int32", "int64")}
+    assert stores["auto"].index == stores["int64"].index == stores["int32"].index
+    for store in stores.values():
+        store.close()
 
     # the exported trace carries per-kernel workspace peaks
     assert main(["info", "--trace", str(trace_path)]) == 0
     out = capsys.readouterr().out
     assert "ws=" in out
 
-    assert main(["verify", str(tmp_path / 'i-auto.npz'), "--dtype", "int32"]) == 0
+    assert main(["verify", str(tmp_path / "i-auto.eqtsidx"), "--dtype", "int32"]) == 0
     assert "OK" in capsys.readouterr().out
 
     # the backend choices are serial and process only
     with pytest.raises(SystemExit) as exc:
-        main(["index", str(graph_path), "--out", str(tmp_path / "t.npz"),
+        main(["index", str(graph_path), "--out", str(tmp_path / "t.eqtsidx"),
               "--backend", "thread"])
     assert exc.value.code == 2
 
 
 def test_query_specific_k(tmp_path, capsys):
     graph_path = tmp_path / "g.npz"
-    index_path = tmp_path / "i.npz"
+    index_path = tmp_path / "i.eqtsidx"
     main(["generate", "gnm", "--n", "30", "--m", "160", "--seed", "1",
           "--out", str(graph_path)])
     main(["index", str(graph_path), "--out", str(index_path)])
@@ -151,7 +168,7 @@ def test_query_specific_k(tmp_path, capsys):
 @pytest.fixture()
 def indexed_graph(tmp_path):
     graph_path = tmp_path / "g.npz"
-    index_path = tmp_path / "g.index.npz"
+    index_path = tmp_path / "g.eqtsidx"
     main(["generate", "gnm", "--n", "60", "--m", "280", "--seed", "4",
           "--out", str(graph_path)])
     main(["index", str(graph_path), "--out", str(index_path)])
@@ -230,7 +247,9 @@ def test_query_warm_cache_and_trace_out(indexed_graph, tmp_path, capsys):
     assert "warmed" in out
     names = {rec["name"] for rec in read_trace_jsonl(trace)}
     assert "Query" in names
-    assert "PrecomputeComponents" in names
+    # the engine serves from the component tables the store carries, so
+    # the query run does no component sweep of its own
+    assert "PrecomputeComponents" not in names
 
 
 def test_query_bfs_trace_has_query_spans(indexed_graph, tmp_path, capsys):
@@ -267,15 +286,13 @@ def test_query_flag_validation(indexed_graph, tmp_path, capsys):
 
 def test_store_write_attach_inspect_verify_roundtrip(tmp_path, capsys):
     graph_path = tmp_path / "g.npz"
-    index_path = tmp_path / "g.index.npz"
     store_path = tmp_path / "g.eqtsidx"
 
     assert main(["generate", "gnm", "--n", "80", "--m", "500",
                  "--seed", "6", "--out", str(graph_path)]) == 0
     capsys.readouterr()
 
-    assert main(["index", str(graph_path), "--out", str(index_path),
-                 "--store-out", str(store_path),
+    assert main(["index", str(graph_path), "--out", str(store_path),
                  "--store-generation", "3"]) == 0
     out = capsys.readouterr().out
     assert "wrote store (gen 3" in out
@@ -296,24 +313,54 @@ def test_store_write_attach_inspect_verify_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "OK" in out
 
-    assert main(["attach", str(store_path), "--verify",
-                 "--vertex", "0", "--k", "3"]) == 0
+    assert main(["attach", str(store_path), "--verify"]) == 0
     out = capsys.readouterr().out
     assert "attached" in out and "gen 3" in out
+    assert "stored component tables" in out
 
     assert main(["attach", str(store_path), "--refresh"]) == 0
     out = capsys.readouterr().out
     assert "up to date" in out or "journal" in out or "re-attached" in out
 
 
-def test_store_commands_reject_garbage(tmp_path, capsys):
-    bogus = tmp_path / "bogus.eqtsidx"
-    bogus.write_bytes(b"NOTASTOR" + b"\x00" * 64)
-    assert main(["store", "verify", str(bogus)]) == 1
-    assert main(["store", "inspect", str(bogus)]) == 1
-    assert main(["attach", str(bogus)]) == 1
+@pytest.fixture()
+def bad_inputs(tmp_path):
+    """Paths the failure cases name: missing, foreign and garbage files."""
+    paths = {
+        "missing": tmp_path / "missing.eqtsidx",
+        "text_graph": tmp_path / "g.txt",
+        "bad_text": tmp_path / "bad.txt",
+        "bad_npz": tmp_path / "bad.npz",
+        "garbage": tmp_path / "bogus.eqtsidx",
+        "out": tmp_path / "out.eqtsidx",
+    }
+    assert main(["generate", "gnm", "--n", "20", "--m", "60",
+                 "--out", str(paths["text_graph"])]) == 0
+    paths["bad_text"].write_text("0 1\n1 x\n")
+    paths["bad_npz"].write_bytes(b"not an archive\n")
+    paths["garbage"].write_bytes(b"NOTASTOR" + b"\xff" * 64)  # not UTF-8 either
+    return {name: str(p) for name, p in paths.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "{missing}", "--vertex", "0", "--k", "3"],
+    ["verify", "{missing}"],
+    ["info", "{missing}"],
+    ["verify", "{text_graph}"],
+    ["index", "{missing}", "--out", "{out}"],
+    ["index", "{bad_text}", "--out", "{out}"],
+    ["index", "{bad_npz}", "--out", "{out}"],
+    ["index", "{garbage}", "--out", "{out}"],
+    ["attach", "{garbage}"],
+    ["store", "inspect", "{garbage}"],
+    ["store", "verify", "{garbage}"],
+], ids=lambda argv: "-".join(a.strip("{}") for a in argv[:3] if a[0] != "-"))
+def test_failures_exit_1_with_failed_message(argv, bad_inputs, capsys):
+    capsys.readouterr()
+    assert main([a.format(**bad_inputs) for a in argv]) == 1
     err = capsys.readouterr().err
-    assert "FAILED" in err
+    assert err.startswith("FAILED: ")
+    assert "Traceback" not in err
 
 
 def test_serve_and_loadgen_roundtrip(tmp_path, capsys):
@@ -326,8 +373,7 @@ def test_serve_and_loadgen_roundtrip(tmp_path, capsys):
     endpoint = tmp_path / "endpoint.txt"
     assert main(["generate", "gnm", "--n", "60", "--m", "320",
                  "--seed", "9", "--out", str(graph_path)]) == 0
-    assert main(["index", str(graph_path), "--out", str(tmp_path / "i.npz"),
-                 "--store-out", str(store_path)]) == 0
+    assert main(["index", str(graph_path), "--out", str(store_path)]) == 0
     capsys.readouterr()
 
     rc = {}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.equitruss import EquiTrussIndex, build_index
+from repro.equitruss import build_index
 from repro.errors import (
     GraphConstructionError,
     GraphFormatError,
@@ -44,19 +44,16 @@ def test_truncated_text_file(tmp_path):
 
 def test_index_load_of_tampered_file(tmp_path):
     from repro.graph import CSRGraph
+    from repro.store import attach_store, write_store
 
     g = CSRGraph.from_edgelist(complete_graph(5))
     index = build_index(g, "afforest").index
-    p = tmp_path / "i.npz"
-    index.save(p)
-    # tamper: shuffle supernode trussness so validation must fail
-    with np.load(p) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays["supernode_trussness"] = arrays["supernode_trussness"] + 7
-    np.savez_compressed(p, **arrays)
-    loaded = EquiTrussIndex.load(p)
-    with pytest.raises(IndexIntegrityError):
-        loaded.validate()
+    # tamper: shift supernode trussness so validation must fail; the
+    # writer persists what it is given, so the attached copy carries it
+    index.supernode_trussness = index.supernode_trussness + 7
+    with attach_store(write_store(index, tmp_path / "i.eqtsidx")) as store:
+        with pytest.raises(IndexIntegrityError):
+            store.index.validate()
 
 
 def test_builder_negative_ids():

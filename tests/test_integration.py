@@ -44,11 +44,10 @@ def test_full_pipeline_all_variants(workload, tmp_path):
     verify_index_semantics(graph, ref)
 
     # persistence roundtrip
-    p = tmp_path / "idx.npz"
-    ref.save(p)
-    from repro import EquiTrussIndex
+    from repro.store import attach_store, write_store
 
-    assert EquiTrussIndex.load(p) == ref
+    with attach_store(write_store(ref, tmp_path / "idx.eqtsidx")) as store:
+        assert store.index == ref
 
 
 def test_queries_against_ground_truth(workload):
