@@ -79,6 +79,7 @@ class QueryEngine:
         self.ctx = ExecutionContext.ensure(ctx)
         self.cache = QueryCache(cache_size)
         self._memo_evictions = 0
+        self._encode_fallbacks = 0
         self._bind(index, components)
 
     def _bind(
@@ -338,10 +339,13 @@ class QueryEngine:
 
         ``edge_ids`` is a ``Community.edge_ids`` this engine returned; it
         is found in the memo by identity. An array whose entry was evicted
-        (a result-cache hit can outlive it) is encoded afresh.
+        (a result-cache hit can outlive it) is encoded afresh, and counted
+        in ``encode_fallbacks``.
         """
         entry = self._by_array.get(id(edge_ids))
         if entry is None or entry.edge_ids is not edge_ids:
+            self._encode_fallbacks += 1
+            metrics.inc("repro.serve.engine.encode_fallbacks")
             return encode_edge_ids(edge_ids)
         self._materialized.move_to_end(entry.key)
         if entry.encoded is None:
@@ -385,6 +389,7 @@ class QueryEngine:
             "materialized_communities": len(self._materialized),
             "memo_bytes": self._memo_bytes,
             "memo_evictions": self._memo_evictions,
+            "encode_fallbacks": self._encode_fallbacks,
             "cache_entries": len(self.cache),
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,

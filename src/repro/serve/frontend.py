@@ -523,7 +523,7 @@ class ServingFrontend:
         self, line: bytes, writer: asyncio.StreamWriter, wlock: asyncio.Lock
     ) -> None:
         try:
-            obj = protocol.decode_frame(line)
+            obj = protocol.decode_request(line)
         except WireProtocolError as exc:
             await self._write(
                 writer, wlock,

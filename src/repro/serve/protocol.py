@@ -28,23 +28,28 @@ that maps 1:1 onto the typed exceptions in :mod:`repro.errors`;
 callers catch :class:`~repro.errors.BackpressureError` /
 :class:`~repro.errors.ShardUnavailableError` instead of parsing dicts.
 
-Communities travel packed: ``{"k":K,"edge_ids_u32":"…"}``, the value
-the base64 of the community's edge ids as little-endian unsigned 32-bit
-ints, or ``"edge_ids_u64"`` and 64-bit ints when its largest id is
-≥ 2³², so a client builds no JSON integer per edge. :func:`decode_frame`
-unpacks every such object back to
+Communities travel packed: ``{"k":K,"edge_ids_z":"…"}``, the value
+the base64 of a zlib stream that inflates to the community's sorted
+edge ids as little-endian unsigned 64-bit deltas, the first delta
+being the first id, so a client builds no JSON integer per edge and a
+giant community costs about a tenth of its raw u32 bytes.
+:func:`decode_frame` unpacks every such object back to
 ``{"k": int, "edge_ids": [int, ...]}`` with the ids in the engine's
 canonical sorted order, so a decoded response compares equal to
 :func:`serialize_communities` of an in-process
-:meth:`~repro.serve.engine.QueryEngine.query` result.
+:meth:`~repro.serve.engine.QueryEngine.query` result. A frame's ids
+total at most :data:`MAX_FRAME_BYTES` of u64s, so a few kilobytes of
+deflate stream cannot balloon the reader. Requests carry no community:
+:func:`decode_request`, which the frontend and shards read requests
+with, refuses a packed member before inflating anything.
 
 Answers are bimodal: most are empty, and the rest carry a few giant
 communities (tens of thousands of ids) that every vertex inside them
 shares. A client therefore passes :func:`decode_frame` a per-connection
 :class:`DecodeMemo`, keyed by the exact packed text, so it decodes each
-distinct community once per connection; a memo hit still runs every
-shape check and returns a fresh list. Without a memo (the frontend, a
-shard) every community is decoded.
+distinct community once per connection and inflates only on a miss;
+a memo hit still runs every shape check and returns a fresh list.
+Without a memo every community is decoded.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from __future__ import annotations
 import base64
 import json
 import sys
+import zlib
 from collections import OrderedDict
 from typing import Any
 
@@ -66,8 +72,9 @@ from repro.errors import (
 )
 
 #: Protocol version a shard stamps into its ready frame; the frontend
-#: refuses a shard that speaks another. 2: communities travel packed.
-PROTOCOL_VERSION = 2
+#: refuses a shard that speaks another. 3: communities travel as
+#: deflated id deltas (2: raw u32/u64 ids).
+PROTOCOL_VERSION = 3
 
 #: One frame (request or response) may not exceed this many bytes —
 #: a corrupt peer must not balloon the reader's buffer.
@@ -181,11 +188,9 @@ def encode_frame(obj: dict) -> bytes:
     return _dumps(obj) + b"\n"
 
 
-def decode_frame(line: bytes | str, memo: DecodeMemo | None = None) -> dict:
-    """Parse one frame, unpacking packed communities to ``edge_ids``
-    lists; :class:`WireProtocolError` on anything malformed. With a
-    :class:`DecodeMemo`, a community that the memo holds is not decoded
-    again."""
+def _loads(line: bytes | str, hook) -> dict:
+    """One frame's JSON object through ``hook``; :class:`WireProtocolError`
+    on anything malformed."""
     if isinstance(line, bytes):
         if len(line) > MAX_FRAME_BYTES:
             raise WireProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
@@ -193,7 +198,6 @@ def decode_frame(line: bytes | str, memo: DecodeMemo | None = None) -> dict:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireProtocolError(f"frame is not UTF-8: {exc}") from exc
-    hook = _unpack_community if memo is None else memo.unpack
     try:
         obj = json.loads(line, object_hook=hook)
     except json.JSONDecodeError as exc:
@@ -201,6 +205,45 @@ def decode_frame(line: bytes | str, memo: DecodeMemo | None = None) -> dict:
     if not isinstance(obj, dict):
         raise WireProtocolError(f"frame must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def decode_frame(line: bytes | str, memo: DecodeMemo | None = None) -> dict:
+    """Parse one frame, unpacking packed communities to ``edge_ids``
+    lists; :class:`WireProtocolError` on anything malformed. The ids of
+    one frame's communities total at most :data:`MAX_FRAME_BYTES` of
+    u64s, memo hits included, and no community follows once they reach
+    it. With a :class:`DecodeMemo`, a community that the memo holds is
+    not decoded again."""
+    budget = MAX_FRAME_BYTES  # id bytes the rest of the frame may yield
+    decode = _decode_ids if memo is None else memo.ids
+
+    def unpack(obj: dict) -> dict:
+        nonlocal budget
+        payload = _packed_payload(obj)
+        if payload is None:
+            return obj
+        if budget <= 0:  # decompress reads a max_length of 0 as unbounded
+            raise WireProtocolError(
+                f"a frame's ids fill {MAX_FRAME_BYTES} bytes before its last community"
+            )
+        ids = decode(payload, budget)
+        budget -= 8 * len(ids)
+        return {"k": obj["k"], "edge_ids": ids}
+
+    return _loads(line, unpack)
+
+
+def _refuse_community(obj: dict) -> dict:
+    if PACKED_KEY in obj:
+        raise WireProtocolError(f"a request carries no {PACKED_KEY!r} member")
+    return obj
+
+
+def decode_request(line: bytes | str) -> dict:
+    """Parse one request frame; :class:`WireProtocolError` on anything
+    malformed. A request carries no community, so a packed member is
+    refused before anything is inflated."""
+    return _loads(line, _refuse_community)
 
 
 # -- responses ---------------------------------------------------------
@@ -238,8 +281,12 @@ def raise_for_error(response: dict) -> dict:
 
 # -- payload shapes ----------------------------------------------------
 
-#: packed community id key → little-endian dtype of its ids
-_PACKED = {"edge_ids_u32": np.dtype("<u4"), "edge_ids_u64": np.dtype("<u8")}
+#: the packed community member: deflated little-endian u64 id deltas
+PACKED_KEY = "edge_ids_z"
+
+#: zlib level of :func:`encode_edge_ids`: each community is encoded once
+#: per engine memo entry, so the fastest level is enough
+ZLIB_LEVEL = 1
 
 
 def serialize_communities(communities) -> list[dict]:
@@ -251,64 +298,67 @@ def serialize_communities(communities) -> list[dict]:
 
 def encode_edge_ids(edge_ids) -> bytes:
     """One community's sorted edge ids → its packed JSON member,
-    ``"edge_ids_u32":"<base64>"``; ``edge_ids_u64`` when an id is ≥ 2³²,
-    which a u32 cast would wrap silently."""
-    wide = edge_ids.size and int(edge_ids.max()) >> 32
-    key = "edge_ids_u64" if wide else "edge_ids_u32"
-    raw = np.asarray(edge_ids, _PACKED[key]).tobytes()
-    return b'"%b":"%b"' % (key.encode(), base64.b64encode(raw))
+    ``"edge_ids_z":"<base64>"``: the deflated u64 deltas of the ids."""
+    ids = np.asarray(edge_ids, "<u8")
+    deltas = np.diff(ids, prepend=np.uint64(0)).astype("<u8", copy=False)
+    raw = zlib.compress(deltas.tobytes(), ZLIB_LEVEL)
+    return b'"%b":"%b"' % (PACKED_KEY.encode(), base64.b64encode(raw))
 
 
-def _packed_key(obj: dict) -> str | None:
-    """The packed id key of a community object, after its shape checks
-    (exactly ``k`` and that key, an int ``k``, a string payload); None
-    for any other object."""
-    key = next((key for key in _PACKED if key in obj), None)
-    if key is None:
+def _packed_payload(obj: dict) -> str | None:
+    """The :data:`PACKED_KEY` payload of a community object, after its
+    shape checks (exactly ``k`` and that key, an int ``k``, a string
+    payload); None for any other object."""
+    if PACKED_KEY not in obj:
         return None
-    k, payload = obj.get("k"), obj[key]
-    if obj.keys() != {"k", key} or type(k) is not int or type(payload) is not str:
+    k, payload = obj.get("k"), obj[PACKED_KEY]
+    if obj.keys() != {"k", PACKED_KEY} or type(k) is not int or type(payload) is not str:
         raise WireProtocolError(
-            f"a packed community is an int 'k' and a string {key!r}, got "
+            f"a packed community is an int 'k' and a string {PACKED_KEY!r}, got "
             f"{ {name: type(value).__name__ for name, value in obj.items()} }"
         )
-    return key
+    return payload
 
 
-def _decode_ids(key: str, payload: str) -> list[int]:
+def _decode_ids(payload: str, limit: int) -> list[int]:
     """A packed payload's edge ids; :class:`WireProtocolError` when it is
-    not base64 of whole ids."""
+    not base64 of one whole deflate stream of at most ``limit`` (> 0)
+    bytes of u64 deltas summing to strictly increasing ids below 2⁶⁴."""
     try:
         raw = base64.b64decode(payload, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise WireProtocolError(f"{key} is not base64: {exc}") from exc
-    if len(raw) % _PACKED[key].itemsize:
-        raise WireProtocolError(f"{key} holds {len(raw)} bytes, not whole ids")
-    return np.frombuffer(raw, _PACKED[key]).tolist()
-
-
-def _unpack_community(obj: dict) -> dict:
-    """``json.loads`` object hook: a packed community → ``{"k", "edge_ids"}``."""
-    key = _packed_key(obj)
-    if key is None:
-        return obj
-    return {"k": obj["k"], "edge_ids": _decode_ids(key, obj[key])}
+        raise WireProtocolError(f"{PACKED_KEY} is not base64: {exc}") from exc
+    inflater = zlib.decompressobj()
+    try:
+        deltas = inflater.decompress(raw, limit)
+    except zlib.error as exc:
+        raise WireProtocolError(f"{PACKED_KEY} is not a deflate stream: {exc}") from exc
+    if not inflater.eof or inflater.unused_data or inflater.unconsumed_tail:
+        raise WireProtocolError(
+            f"{PACKED_KEY} is not one whole deflate stream of at most "
+            f"{limit} bytes"
+        )
+    if len(deltas) % 8:
+        raise WireProtocolError(f"{PACKED_KEY} holds {len(deltas)} bytes, not whole ids")
+    ids = np.cumsum(np.frombuffer(deltas, "<u8"), dtype=np.uint64)
+    # a zero delta repeats an id, and a sum past 2⁶⁴ wraps below the last
+    if not (ids[1:] > ids[:-1]).all():
+        raise WireProtocolError(
+            f"{PACKED_KEY} ids are not strictly increasing below 2**64"
+        )
+    return ids.tolist()
 
 
 #: Estimated bytes of a decode memo entry: the payload text and list
 #: headers, the payload's characters, and per id an 8-byte list slot plus
-#: an int object as large as the widest id of its packed width.
+#: an int object as large as the community's largest (last) id.
 _ENTRY_BYTES = sys.getsizeof("") + sys.getsizeof([])
-_ID_BYTES = {
-    key: 8 + sys.getsizeof((1 << 8 * dtype.itemsize) - 1)
-    for key, dtype in _PACKED.items()
-}
 
 
-def _entry_bytes(text: tuple[str, str], num_ids: int) -> int:
-    key, payload = text
+def _entry_bytes(payload: str, ids: list[int]) -> int:
+    per_id = 8 + sys.getsizeof(ids[-1] if ids else 0)
     # Python ints, not an int32 key: the product cannot wrap
-    return _ENTRY_BYTES + len(payload) + num_ids * _ID_BYTES[key]  # repro: allow(REP005)
+    return _ENTRY_BYTES + len(payload) + len(ids) * per_id  # repro: allow(REP005)
 
 
 class DecodeMemo:
@@ -317,10 +367,11 @@ class DecodeMemo:
     A community is the same answer for every vertex in it, so a client
     receives the same packed payload many times. :func:`decode_frame`
     with a memo runs every shape check on each packed object, then looks
-    the exact ``(key, payload)`` text up here: a hit skips the base64
-    and int decode. Every decode returns a fresh list (callers may
-    mutate it); the int objects in it are shared. Entries are evicted
-    least recently used to hold the estimate, :attr:`nbytes`, within
+    its exact payload up here: a hit skips the base64 decode, the
+    inflate and the int decode, but still counts against the frame's id
+    limit. Every decode returns a fresh list (callers may mutate it);
+    the int objects in it are shared. Entries are evicted least recently
+    used to hold the estimate, :attr:`nbytes`, within
     :data:`DECODE_MEMO_BUDGET_BYTES`; a community larger than the whole
     budget is decoded and not stored. Not thread-safe: one per
     connection.
@@ -329,37 +380,40 @@ class DecodeMemo:
     __slots__ = ("_entries", "nbytes")
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple[str, str], list[int]] = OrderedDict()
+        self._entries: OrderedDict[str, list[int]] = OrderedDict()
         self.nbytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def unpack(self, obj: dict) -> dict:
-        """``json.loads`` object hook: :func:`_unpack_community`, memoized."""
-        key = _packed_key(obj)
-        if key is None:
-            return obj
-        text = (key, obj[key])
-        ids = self._entries.get(text)
+    def ids(self, payload: str, limit: int) -> list[int]:
+        """:func:`_decode_ids` of ``payload``, memoized: a fresh list of
+        at most ``limit`` bytes of u64 ids."""
+        ids = self._entries.get(payload)
         if ids is None:
-            ids = _decode_ids(*text)
-            if not self._store(text, ids):
-                return {"k": obj["k"], "edge_ids": ids}
+            ids = _decode_ids(payload, limit)
+            if not self._store(payload, ids):
+                return ids
+        elif 8 * len(ids) > limit:
+            raise WireProtocolError(
+                f"{PACKED_KEY} holds {len(ids)} ids, past the frame's "
+                f"{limit} bytes left"
+            )
         else:
-            self._entries.move_to_end(text)
-        return {"k": obj["k"], "edge_ids": list(ids)}
+            self._entries.move_to_end(payload)
+        return list(ids)
 
-    def _store(self, text: tuple[str, str], ids: list[int]) -> bool:
-        """Remember ``ids`` under ``text``, evicting least recently used
-        entries; False (evicting nothing) when they exceed the budget."""
-        cost = _entry_bytes(text, len(ids))
+    def _store(self, payload: str, ids: list[int]) -> bool:
+        """Remember ``ids`` under ``payload``, evicting least recently
+        used entries; False (evicting nothing) when they exceed the
+        budget."""
+        cost = _entry_bytes(payload, ids)
         if cost > DECODE_MEMO_BUDGET_BYTES:
             return False
         while self.nbytes + cost > DECODE_MEMO_BUDGET_BYTES:
             old, old_ids = self._entries.popitem(last=False)
-            self.nbytes -= _entry_bytes(old, len(old_ids))
-        self._entries[text] = ids
+            self.nbytes -= _entry_bytes(old, old_ids)
+        self._entries[payload] = ids
         self.nbytes += cost
         return True
 

@@ -41,7 +41,7 @@ from repro.obs.histogram import DEFAULT_MS_BOUNDARIES
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     BlockOwnership,
-    decode_frame,
+    decode_request,
     encode_communities,
     encode_frame,
     exception_response,
@@ -186,7 +186,7 @@ class ShardWorker:
             if not line.strip():
                 continue
             try:
-                obj = decode_frame(line)
+                obj = decode_request(line)
             except WireProtocolError as exc:
                 out.write(encode_frame(exception_response(None, exc)))
                 out.flush()

@@ -13,6 +13,8 @@ query's own ``{"k":…}`` for every answer. Pinned here:
 * **the budget** — arrays plus bytes never exceed
   :data:`~repro.serve.engine.MEMO_BUDGET_BYTES`, eviction is counted,
   and answers stay identical when it is tiny;
+* **fallbacks** — an answer whose community left the memo is encoded
+  afresh and counted in ``encode_fallbacks``; a warm engine never does;
 * **read-only arrays** — a caller cannot write to a shared array.
 """
 
@@ -183,6 +185,37 @@ def test_tiny_budget_bounds_memo_and_keeps_answers(monkeypatch, budget):
         stats["memo_evictions"]
     )
     assert registry.gauge("repro.serve.engine.memo_bytes").value == stats["memo_bytes"]
+
+
+def fallbacks(engine, registry):
+    count = engine.stats()["encode_fallbacks"]
+    assert registry.as_dict().get("repro.serve.engine.encode_fallbacks", 0) == count
+    return count
+
+
+def test_warm_engine_never_falls_back_to_encoding():
+    index = index_of("er1+k8")
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        engine = QueryEngine(index, cache_size=1024)
+        engine.warm()
+        for v, k in query_order(index):  # every key three times
+            encode_communities(engine.query(v, k, record=False), engine)
+    assert engine.stats()["cache_hits"] > 0
+    assert fallbacks(engine, registry) == 0
+
+
+def test_answer_outliving_its_memo_entry_is_counted(monkeypatch):
+    monkeypatch.setattr(engine_mod, "MEMO_BUDGET_BYTES", 600)
+    index = index_of("er1+k8")
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        engine = QueryEngine(index, cache_size=1024)
+        for v, k in query_order(index):
+            got = encode_communities(engine.query(v, k, record=False), engine)
+            assert got == reference(index, v, k), (v, k)
+    assert engine.stats()["memo_evictions"] > 0
+    assert fallbacks(engine, registry) > 0
 
 
 def test_warm_stops_at_the_budget(monkeypatch):
