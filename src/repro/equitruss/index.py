@@ -180,6 +180,25 @@ class EquiTrussIndex:
             sns = sns[self.supernode_trussness[sns] >= k_min]
         return np.unique(sns)
 
+    def vertex_max_trussness(self) -> np.ndarray:
+        """Per vertex, the largest τ ≥ 3 over its incident edges, 0 for a
+        vertex on no triangle: the batch form of
+        ``query_candidate_ks(index, v)[-1]``.
+
+        A ``k``-truss community (``k ≥ 3``) containing ``v`` exists iff
+        ``k <= table[v]``. The table holds the narrowest unsigned dtype
+        that fits kmax; apart from a copy of τ in that dtype, it
+        allocates nothing of size m.
+        """
+        tau = self.trussness
+        dtype = np.min_scalar_type(int(tau.max()) if tau.size else 0)
+        table = np.zeros(self.graph.num_vertices, dtype=dtype)
+        tau = tau.astype(dtype)
+        np.maximum.at(table, self.graph.edges.u, tau)
+        np.maximum.at(table, self.graph.edges.v, tau)
+        table[table < 3] = 0
+        return table
+
     def supernode_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric CSR (indptr, neighbors) over supernodes (cached)."""
         if self._sn_adj is None:

@@ -23,6 +23,15 @@ server speaks the newline-delimited JSON protocol of
   frame and the answers' encoded communities
   (:mod:`repro.serve.protocol`); the frontend slices those bytes and
   splices each slice into its client's response without decoding it.
+* **Provably empty answers** — at start (and after a refresh that
+  swapped every shard onto one generation) the frontend derives
+  :meth:`~repro.equitruss.index.EquiTrussIndex.vertex_max_trussness`
+  from the store and answers a query with ``k > table[vertex]`` itself,
+  with the ``[]`` a shard would send. It does so only while
+  ``auto_refresh`` is off and every shard is alive and last announced
+  (ready frame, batch header, refresh reply) the generation the table
+  was derived from; a refresh that replays journal entries drops the
+  table.
 * **Admission control** — at most ``max_pending`` admitted requests may
   be in the house (buffered or in flight); past that the frontend
   answers immediately with a typed ``backpressure`` rejection instead
@@ -34,8 +43,8 @@ server speaks the newline-delimited JSON protocol of
   fails that batch with a typed ``protocol`` error and disconnects the
   shard the same way.
 
-Per-request observability goes through the PR 6 fixed-boundary
-histogram registry: ``repro.serve.frontend.latency_ms``,
+Per-request observability goes through the fixed-boundary histogram
+registry: ``repro.serve.frontend.latency_ms`` (local answers included),
 ``repro.serve.frontend.queue_depth`` and
 ``repro.serve.frontend.coalesce_batch_size`` export p50/p95/p99 in
 both the JSON snapshot and the Prometheus text exposition (the
@@ -52,6 +61,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.errors import (
     BackpressureError,
@@ -151,6 +162,9 @@ class ShardHandle:
         self.rank = rank
         self.proc: asyncio.subprocess.Process | None = None
         self.ready: dict = {}
+        #: the store generation the worker last announced (its ready
+        #: frame, a batch header, a refresh reply); None before spawn
+        self.generation: int | None = None
         self.restarts = 0
         self._seq = 0
         #: request id -> (reply future, answers expected if a batch)
@@ -219,6 +233,7 @@ class ShardHandle:
                 f"not 'ready' at {protocol.PROTOCOL_VERSION}"
             )
         self.ready = frame
+        self.generation = frame.get("generation")
         self._attach(proc)
 
     def _attach(self, proc: Any) -> None:
@@ -254,6 +269,8 @@ class ShardHandle:
                 continue  # a torn line during kill; the EOF path cleans up
             rid = frame.get("id")
             fut, expected = self._pending.pop(rid, (None, None))
+            if frame.get("ok") and isinstance(frame.get("generation"), int):
+                self.generation = frame["generation"]
             result: Any = frame
             if frame.get("ok") and (expected is not None or "sizes" in frame):
                 try:
@@ -382,7 +399,7 @@ class ServingFrontend:
             )
         header = read_header(config.store_path)
         self.num_vertices = int(header["num_vertices"])
-        self.generation = int(header["generation"])
+        self._header_generation = int(header["generation"])
         self._ownership = protocol.BlockOwnership(
             self.num_vertices, config.num_shards
         )
@@ -404,12 +421,42 @@ class ServingFrontend:
         self._request_tasks: set[asyncio.Task] = set()
         self._admitted = 0
         self._stopping = False
+        #: (generation, vertex_max_trussness) of the store file, or None
+        self._table: tuple[int, np.ndarray] | None = None
+        #: queries answered empty here, without a shard
+        self.local_answers = 0
+
+    @property
+    def generation(self) -> int:
+        """The newest generation a shard announced (the header's before
+        any shard has)."""
+        return max(
+            (s.generation for s in self.shards if s.generation is not None),
+            default=self._header_generation,
+        )
+
+    def _local_table(self) -> np.ndarray | None:
+        """The max-trussness table while it describes what every shard
+        serves: no auto-refresh (the table is never derived then), and
+        every shard alive with its last announced generation the table's."""
+        if self._table is None:
+            return None
+        generation, table = self._table
+        for shard in self.shards:
+            if shard.generation != generation or not shard.alive:
+                return None
+        return table
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn every shard, then start accepting connections."""
+        """Derive the max-trussness table (unless shards auto-refresh),
+        spawn every shard, then start accepting connections."""
+        if not self.config.auto_refresh:
+            self._table = await asyncio.to_thread(
+                _max_trussness_table, self.config.store_path
+            )
         try:
             await asyncio.gather(*(s.spawn() for s in self.shards))
         except ShardUnavailableError:
@@ -575,6 +622,11 @@ class ServingFrontend:
             raise InvalidParameterError(
                 f"k must be >= 3 for k-truss communities, got {k}"
             )
+        table = self._local_table()
+        if table is not None and vertex < table.size and k > int(table[vertex]):
+            self.local_answers += 1
+            metrics.inc("repro.serve.frontend.local_answers")
+            return protocol.query_response_frame(req_id, vertex, k, b"[]")
         communities = await self._submit(vertex, k)
         return protocol.query_response_frame(req_id, vertex, k, communities)
 
@@ -593,9 +645,16 @@ class ServingFrontend:
                     "generation": resp.get("generation"),
                 }
             )
-        self.generation = max(
-            (int(r["generation"]) for r in reports), default=self.generation
-        )
+        generations = {r["generation"] for r in reports}
+        if any(r["applied"] for r in reports) or len(generations) > 1:
+            self._table = None  # the file no longer describes the shards
+        elif not self.config.auto_refresh and (
+            self._table is None or self._table[0] not in generations
+        ):
+            table = await asyncio.to_thread(
+                _max_trussness_table, self.config.store_path
+            )
+            self._table = table if table[0] in generations else None
         return protocol.ok_response(req_id, reports=reports)
 
     async def _op_stats(self, req_id: Any) -> dict:
@@ -621,6 +680,10 @@ class ServingFrontend:
             "num_vertices": self.num_vertices,
             "num_shards": self.config.num_shards,
             "generation": self.generation,
+            "local_answers": self.local_answers,
+            "table_generation": (
+                self._table[0] if self._local_table() is not None else None
+            ),
             "kmax": max(
                 (int(s.ready.get("kmax", 2)) for s in self.shards if s.ready),
                 default=2,
@@ -731,6 +794,20 @@ class ServingFrontend:
         for _, fut in sub:
             if not fut.done():
                 fut.set_exception(exc)
+
+
+def _max_trussness_table(store_path) -> tuple[int, np.ndarray]:
+    """``(generation, vertex_max_trussness)`` of the store file; a store
+    that cannot be attached fails as a shard spawn on it would."""
+    from repro.store import attach_store
+
+    try:
+        with attach_store(store_path) as store:
+            return store.generation, store.index.vertex_max_trussness()
+    except ReproError as exc:
+        raise ShardUnavailableError(
+            f"cannot attach store {store_path}: {exc}"
+        ) from exc
 
 
 async def _wait_bounded(tasks: set[asyncio.Task]) -> set[asyncio.Task]:
