@@ -5,8 +5,8 @@ on (see ``docs/architecture.md``, "Static analysis & kernel contracts"):
 
 * the **AST contract linter** (:mod:`repro.analysis.engine`,
   :mod:`repro.analysis.rules`, :mod:`repro.analysis.contracts`) —
-  rules REP001–REP005 over worker purity, atomics-freedom, ctx
-  threading, span/metric hygiene, and key-dtype safety, plus the
+  rules REP001 and REP003–REP005 over worker purity, ctx threading,
+  span/metric hygiene, and key-dtype safety, plus the
   cross-layer serving/store contracts REP006–REP010 (async safety,
   wire-protocol / metric-catalogue / store-section conformance). Run
   it with ``python -m repro.analysis`` or ``repro lint``.

@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="AST contract linter for the repro kernel and serving "
-        "layers (REP001-REP010)",
+        "layers (REP001, REP003-REP010)",
     )
     parser.add_argument(
         "paths", nargs="*", default=None,

@@ -31,13 +31,13 @@ REP009    Metric-catalogue conformance: every literal ``repro.*``
 REP010    Store-section conformance: section-name literals in
           ``repro.store`` modules must come from the shared constant
           table in ``store/format.py`` (``REQUIRED_SECTIONS`` /
-          ``COMPONENT_SECTIONS`` / ``EDGE_ORDER_SECTION``) so format
-          drift is a lint error, not a corrupt file.
+          ``COMPONENT_SECTIONS``) so format drift is a lint error, not a
+          corrupt file.
 ========  =============================================================
 
 REP006's premise is provable at runtime with the event-loop stall
 detector (:mod:`repro.analysis.stall`, ``REPRO_LOOP_CHECK=1``) the
-same way the write-set race detector backs REP001/REP002.
+same way the write-set race detector backs REP001.
 """
 
 from __future__ import annotations
@@ -810,8 +810,8 @@ class StoreSectionNames(Rule):
     id = "REP010"
     title = "store section names must come from the format.py constant table"
     hint = (
-        "add the section to REQUIRED_SECTIONS / COMPONENT_SECTIONS (or a "
-        "named *_SECTION constant) in store/format.py and bump "
+        "add the section to REQUIRED_SECTIONS / COMPONENT_SECTIONS in "
+        "store/format.py and bump "
         "STORE_FORMAT_VERSION if the layout changed — ad-hoc section "
         "strings drift the on-disk format silently"
     )
@@ -832,9 +832,6 @@ class StoreSectionNames(Rule):
                 elems = _tuple_of_strings(value, {})
                 if elems:
                     known.update(elems)
-            elif target.id.endswith("_SECTION"):
-                if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                    known.add(value.value)
         return known
 
     def _docstrings(self, tree: ast.Module) -> set[int]:

@@ -2,11 +2,10 @@
 
 The kernel layer's correctness under the process backend rests on
 conventions no general-purpose linter knows about — workers must be
-picklable module-level functions, shared-memory kernels must stay free
-of cross-process atomics, every kernel entry point must thread the one
-``ExecutionContext``, span/metric names must be greppable literals, and
-``u·N + v`` key arithmetic must be overflow-guarded. This module is the
-machinery that makes those conventions machine-checked:
+picklable module-level functions, every kernel entry point must thread
+the one ``ExecutionContext``, span/metric names must be greppable
+literals, and ``u·N + v`` key arithmetic must be overflow-guarded. This
+module is the machinery that makes those conventions machine-checked:
 
 * :class:`ModuleInfo` — one parsed source file plus its suppression
   pragmas (``# repro: allow(REPnnn)`` on the offending line).

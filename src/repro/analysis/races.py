@@ -35,7 +35,7 @@ across tasks and therefore never conflict.
 Writes must go through slice assignment or ufuncs with ``out=`` — the
 protocol every shipped kernel follows. An untracked escape hatch
 (``numpy`` C internals writing through a plain view) would be invisible;
-the REP001/REP002 static rules keep kernels inside the protocol.
+the REP001 static rule keeps kernels inside the protocol.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The repo-specific contract rules (REP001–REP005).
+"""The repo-specific contract rules (REP001, REP003–REP005).
 
 Each rule encodes one invariant the process-backend speedup story
 depends on — the conventions PR 4's kernels follow by hand, checked
@@ -10,19 +10,14 @@ REP001    Process-kernel purity: functions dispatched through
           ``ProcessBackend.map_tasks`` must be picklable module-level
           functions (no lambdas, no nested defs, no bound methods) and
           must not rebind or mutate module-global state.
-REP002    No cross-process atomics: shared-memory worker kernels must
-          not touch :mod:`repro.parallel.atomics` — the striped-lock
-          emulation only synchronizes threads of one process, so using
-          it across workers silently loses updates.
 REP003    Ctx-threading discipline: kernel entry points in ``graph/``,
           ``triangles/``, ``truss/``, ``cc/``, ``equitruss/`` and
           ``serve/`` must forward their ``ctx`` to every ctx-aware
           callee and must never construct a fresh ``ExecutionContext()``
           (that would fork the workspace, tracer, and worker pools).
 REP004    Span/metric hygiene: ``repro.obs.metrics`` names must be
-          literal strings under the ``repro.*`` namespace, span/region
-          names must be literal (greppable), and ``Timer`` start/stop
-          calls must pair up within a function.
+          literal strings under the ``repro.*`` namespace, and
+          span/region names must be literal (greppable).
 REP005    Dtype safety: ``u * n + v``-style key arithmetic must be
           routed through :class:`~repro.parallel.context.DtypePolicy`
           or an explicit int64 cast — the exact overflow class fixed in
@@ -55,8 +50,6 @@ KERNEL_PACKAGES = frozenset(
 DTYPE_PACKAGES = KERNEL_PACKAGES | frozenset(
     {"parallel", "community", "core_decomp"}
 )
-
-ATOMICS_MODULE = "repro.parallel.atomics"
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -250,59 +243,6 @@ class ProcessKernelPurity(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP002 — no cross-process atomics
-# ----------------------------------------------------------------------
-
-class NoCrossProcessAtomics(Rule):
-    id = "REP002"
-    title = "shared-memory worker kernels must not use repro.parallel.atomics"
-    hint = (
-        "restructure the kernel as partition -> privatize -> reduce: each "
-        "worker writes a private partial (bincount row, append buffer) and "
-        "the coordinator reduces; AtomicArray locks are per-process only"
-    )
-
-    def check(self, mod: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
-        atomic_names = {
-            alias.asname or alias.name
-            for stmt in mod.tree.body
-            if isinstance(stmt, ast.ImportFrom) and stmt.module == ATOMICS_MODULE
-            for alias in stmt.names
-        }
-        workers = [
-            fn
-            for fn, top in _walk_functions(mod.tree)
-            if top and (mod.module, fn.name) in index.worker_fns
-        ]
-        for fn in workers:
-            for node in ast.walk(fn):
-                if isinstance(node, ast.ImportFrom) and node.module == ATOMICS_MODULE:
-                    yield mod.finding(
-                        self, node,
-                        f"worker `{fn.name}` imports {ATOMICS_MODULE}",
-                    )
-                elif (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id in atomic_names
-                ):
-                    yield mod.finding(
-                        self, node,
-                        f"worker `{fn.name}` uses `{node.id}` from "
-                        f"{ATOMICS_MODULE}: its locks do not synchronize "
-                        "across processes",
-                    )
-                else:
-                    dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
-                    if dotted and ATOMICS_MODULE.split(".")[-1] in dotted.split("."):
-                        if dotted.startswith(("atomics.", "repro.parallel.atomics")):
-                            yield mod.finding(
-                                self, node,
-                                f"worker `{fn.name}` references `{dotted}`",
-                            )
-
-
-# ----------------------------------------------------------------------
 # REP003 — ctx-threading discipline
 # ----------------------------------------------------------------------
 
@@ -376,7 +316,7 @@ def _ctx_in_scope(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int | None:
 
 class SpanMetricHygiene(Rule):
     id = "REP004"
-    title = "metric/span names must be literal; Timer start/stop must pair"
+    title = "metric/span names must be literal"
     hint = (
         "use a literal 'repro.*' string (or a module-level constant) so "
         "names stay greppable and the registry namespace stays uniform"
@@ -429,49 +369,6 @@ class SpanMetricHygiene(Rule):
                         hint="dynamic span names break trace diffing and "
                         "the per-kernel breakdown tables",
                     )
-
-        # Timer discipline: start/stop must pair within a function.
-        for fn, _top in _walk_functions(mod.tree):
-            timers: set[str] = set()
-            starts = stops = 0
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                    v = node.value
-                    # t = Timer()  /  t = Timer().start()
-                    chained = (
-                        isinstance(v.func, ast.Attribute)
-                        and v.func.attr == "start"
-                        and isinstance(v.func.value, ast.Call)
-                        and _dotted(v.func.value.func) == "Timer"
-                    )
-                    if _dotted(v.func) == "Timer" or chained:
-                        for t in node.targets:
-                            if isinstance(t, ast.Name):
-                                timers.add(t.id)
-                        if chained:
-                            starts += 1
-            if not timers:
-                continue
-            for node in ast.walk(fn):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in timers
-                ):
-                    if node.func.attr == "start":
-                        starts += 1
-                    elif node.func.attr == "stop":
-                        stops += 1
-            if starts != stops:
-                yield mod.finding(
-                    self, fn,
-                    f"`{fn.name}` starts a Timer {starts} time(s) but stops "
-                    f"it {stops} time(s)",
-                    hint="pair every Timer.start() with a stop() (or use "
-                    "`with Timer() as t:`) — unbalanced timers raise at "
-                    "runtime since PR 1",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -611,7 +508,6 @@ def default_rules() -> list[Rule]:
 
     return [
         ProcessKernelPurity(),
-        NoCrossProcessAtomics(),
         CtxThreading(),
         SpanMetricHygiene(),
         DtypeSafety(),

@@ -3,7 +3,7 @@
 The REP006 lint rule proves *statically* that no blocking call is
 reachable from an ``async def`` body in the serving layer; this module
 proves the premise *dynamically*, the same way the write-set race
-detector (:mod:`repro.analysis.races`) backs REP001/REP002. Opt in via
+detector (:mod:`repro.analysis.races`) backs REP001. Opt in via
 the environment before the frontend starts:
 
 * ``REPRO_LOOP_CHECK=1`` — record stalls: every event-loop callback is

@@ -97,11 +97,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph, ctx=ctx)
     log.info(kv("load_graph", path=args.graph, vertices=graph.num_vertices,
                 edges=graph.num_edges, dtype=graph.index_dtype.name))
-    from repro.obs.exporter import emitter_from_env
-
-    emitter = emitter_from_env()  # REPRO_METRICS_INTERVAL/_PATH opt-in
-    if emitter is not None:
-        emitter.start()
     result = build_index(
         graph, variant=args.variant, ctx=ctx,
         store_path=args.out, store_generation=args.store_generation,
@@ -165,9 +160,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         path = write_manifest(doc, manifest_out)
         print(f"wrote manifest -> {path}")
         log.info(kv("manifest_out", path=str(path)))
-    if emitter is not None:
-        emitter.stop()
-        print(f"wrote metrics stream -> {emitter.path}")
     ctx.close()  # release worker processes / shared segments promptly
     return 0
 
@@ -342,7 +334,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         cache_size=args.cache_size,
-        variant=args.variant,
         auto_refresh=args.auto_refresh,
     )
 
@@ -631,8 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="admission limit before backpressure rejections")
     srv.add_argument("--cache-size", type=int, default=1024,
                      help="per-shard engine LRU result-cache entries")
-    srv.add_argument("--variant", default="afforest",
-                     help="variant for journal-replay refresh")
     srv.add_argument("--auto-refresh", action="store_true",
                      help="shards check the update journal before every batch")
     srv.add_argument("--duration", type=float, default=None,

@@ -25,33 +25,6 @@ from repro.graph.edgelist import EdgeList
 from repro.utils.sorting import group_by
 
 
-def _check_edge_order(edge_order, u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Validate a cached backward permutation in O(m) (no sorting).
-
-    A valid ``edge_order`` selects every edge exactly once with the
-    (v, u) keys strictly increasing — strict increase of distinct keys
-    over m in-range entries already implies a permutation. Keys are
-    formed in int64 (``np.int64`` cast before the multiply) because
-    ``v·N + u`` wraps int32 once N exceeds ⌊√2³¹⌋.
-    """
-    order = np.ascontiguousarray(edge_order, dtype=np.int64)
-    m = u.size
-    if order.shape != (m,):
-        raise GraphConstructionError(
-            f"edge_order must have shape ({m},), got {order.shape}"
-        )
-    if m == 0:
-        return order
-    if int(order.min()) < 0 or int(order.max()) >= m:
-        raise GraphConstructionError("edge_order entries out of range")
-    keys = v[order] * np.int64(max(n, 1)) + u[order]
-    if keys.size > 1 and not bool(np.all(np.diff(keys) > 0)):
-        raise GraphConstructionError(
-            "edge_order is not the (v, u)-sorted edge permutation"
-        )
-    return order
-
-
 class CSRGraph:
     """Immutable undirected graph in CSR form.
 
@@ -68,7 +41,7 @@ class CSRGraph:
         The canonical :class:`EdgeList` this CSR was built from.
     """
 
-    __slots__ = ("indptr", "indices", "edge_ids", "edges", "_slot_keys", "_edge_order")
+    __slots__ = ("indptr", "indices", "edge_ids", "edges", "_slot_keys")
 
     def __init__(
         self,
@@ -98,7 +71,6 @@ class CSRGraph:
         if self.edge_ids.size != self.indices.size:
             raise GraphConstructionError("edge_ids must align with indices")
         self._slot_keys: np.ndarray | None = None
-        self._edge_order: np.ndarray | None = None
         for arr in (self.indptr, self.indices, self.edge_ids):
             arr.setflags(write=False)
 
@@ -106,9 +78,7 @@ class CSRGraph:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_edgelist(
-        cls, edges: EdgeList, ctx=None, index_dtype=None, *, edge_order=None
-    ) -> "CSRGraph":
+    def from_edgelist(cls, edges: EdgeList, ctx=None, index_dtype=None) -> "CSRGraph":
         """Build symmetric CSR adjacency from a canonical edge list.
 
         Fused single-pass Init: because the canonical edge list is
@@ -121,12 +91,8 @@ class CSRGraph:
         neighbors v > r ascending]``, which is exactly the old build's
         sorted row, so the three arrays are bit-identical.
 
-        ``edge_order`` optionally supplies that backward permutation
-        (edges sorted by (v, u) — the artifact the ``.eqtsidx`` store
-        caches as ``graph.edge_order``), skipping the sort entirely; it
-        is validated in O(m) before use. The index dtype comes from
-        ``index_dtype`` when given, else from the context's dtype
-        policy, else int64.
+        The index dtype comes from ``index_dtype`` when given, else from
+        the context's dtype policy, else int64.
         """
         if index_dtype is None and ctx is not None:
             from repro.parallel.context import ExecutionContext
@@ -136,10 +102,7 @@ class CSRGraph:
             )
         n, m = edges.num_vertices, edges.num_edges
         u, v = edges.u, edges.v
-        if edge_order is None:
-            order = group_by(v, n)[0]
-        else:
-            order = _check_edge_order(edge_order, u, v, n)
+        order = group_by(v, n)[0]
         cnt_f = np.bincount(u, minlength=n)
         cnt_b = np.bincount(v, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -161,33 +124,7 @@ class CSRGraph:
         slot = indptr[vo] + (eid - bstart[vo])
         indices[slot] = u[order]
         edge_ids[slot] = order
-        graph = cls(indptr, indices, edge_ids, edges, index_dtype=index_dtype)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        order.setflags(write=False)
-        graph._edge_order = order
-        return graph
-
-    def edge_sort_order(self) -> np.ndarray:
-        """Edge ids sorted by (v, u) — the backward-half permutation.
-
-        Equal to ``np.argsort(edges.v, kind="stable")`` but derived
-        *without sorting* when not already cached by
-        :meth:`from_edgelist`: the backward slots of each CSR row hold
-        precisely these edge ids in (row, neighbor) = (v, u) order, so
-        one boolean mask over the slot positions recovers the
-        permutation. This is the artifact the persistent store caches so
-        a rebuild on an attached dataset skips the Init sort.
-        """
-        if self._edge_order is None:
-            n, m = self.num_vertices, self.num_edges
-            cnt_b = np.bincount(self.edges.v, minlength=n)
-            deg = np.diff(self.indptr)
-            backward_end = np.repeat(self.indptr[:-1].astype(np.int64) + cnt_b, deg)
-            mask = np.arange(2 * m, dtype=np.int64) < backward_end
-            order = np.ascontiguousarray(self.edge_ids[mask], dtype=np.int64)
-            order.setflags(write=False)
-            self._edge_order = order
-        return self._edge_order
+        return cls(indptr, indices, edge_ids, edges, index_dtype=index_dtype)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -308,12 +245,10 @@ class CSRGraph:
         """Copy of this graph with the adjacency arrays in another dtype."""
         if np.dtype(index_dtype) == self.index_dtype:
             return self
-        copy = CSRGraph(
+        return CSRGraph(
             self.indptr, self.indices, self.edge_ids, self.edges,
             index_dtype=index_dtype,
         )
-        copy._edge_order = self._edge_order
-        return copy
 
     def to_scipy(self):
         """Symmetric adjacency as ``scipy.sparse.csr_array`` of int8 ones."""

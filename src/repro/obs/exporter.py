@@ -1,32 +1,19 @@
-"""Metrics export surfaces: Prometheus text renderer + JSONL emitter.
+"""Metrics export surface: the Prometheus text renderer.
 
-Two ways out of a :class:`~repro.obs.metrics.MetricsRegistry` beyond the
-one-shot ``--metrics-out`` snapshot:
-
-* :func:`render_prometheus` — the Prometheus text exposition format
-  (``# TYPE`` lines, cumulative ``_bucket{le=...}`` series for
-  fixed-boundary histograms, ``quantile`` series for summary-only
-  ones), for pull-based scraping by the serving frontend.
-* :class:`MetricsEmitter` — a rolling JSONL push emitter: one
-  timestamped snapshot line appended per interval from a daemon
-  thread, plus a final line at :meth:`~MetricsEmitter.stop`.
-  :func:`emitter_from_env` wires it to the ``REPRO_METRICS_INTERVAL``
-  (seconds) and ``REPRO_METRICS_PATH`` environment knobs so benchmarks
-  and the CLI opt in without new plumbing.
+:func:`render_prometheus` renders a
+:class:`~repro.obs.metrics.MetricsRegistry` in the Prometheus text
+exposition format (``# TYPE`` lines, cumulative ``_bucket{le=...}``
+series for fixed-boundary histograms, ``quantile`` series for
+summary-only ones), for pull-based scraping by the serving frontend's
+``metrics`` op and for ``--prom-out``. The one-shot JSON snapshot is
+``--metrics-out``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
-import threading
-import time
-from pathlib import Path
 
-from repro.errors import InvalidParameterError
 from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
     Counter,
     Gauge,
     Histogram,
@@ -94,111 +81,3 @@ def render_prometheus(registry: MetricsRegistry | None = None) -> str:
         else:
             _render_histogram(pname, inst, lines)
     return "\n".join(lines) + "\n" if lines else ""
-
-
-class MetricsEmitter:
-    """Rolling JSONL metrics emitter (the push half of the exporter).
-
-    Appends one snapshot record per line::
-
-        {"schema": "repro.metrics", "version": 2, "unix": ...,
-         "metrics": {...}}
-
-    ``start()`` spawns a daemon thread emitting every ``interval``
-    seconds; ``stop()`` joins it and writes one final snapshot, so even
-    runs shorter than the interval produce at least one line. Usable as
-    a context manager. With ``interval=None`` only explicit
-    :meth:`emit_once` / :meth:`stop` calls write.
-    """
-
-    def __init__(
-        self,
-        path,
-        interval: float | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        if interval is not None and interval <= 0:
-            raise InvalidParameterError(
-                f"emitter interval must be > 0 seconds, got {interval}"
-            )
-        self.path = Path(path)
-        self.interval = interval
-        self._registry = registry
-        self._stop_event = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
-
-    def emit_once(self) -> dict:
-        """Append one snapshot line; returns the record written."""
-        record = {
-            "schema": "repro.metrics",
-            "version": METRICS_SCHEMA_VERSION,
-            "unix": time.time(),
-            "metrics": self.registry.as_dict(),
-        }
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return record
-
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.interval):
-            self.emit_once()
-
-    def start(self) -> "MetricsEmitter":
-        if self.interval is not None and self._thread is None:
-            self._stop_event.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-metrics-emitter", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the emit thread and write one final snapshot."""
-        if self._thread is not None:
-            self._stop_event.set()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.emit_once()
-
-    def __enter__(self) -> "MetricsEmitter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-def read_metrics_jsonl(path) -> list[dict]:
-    """Load an emitter file: one snapshot record per non-blank line."""
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
-
-
-def emitter_from_env(
-    default_path=None, registry: MetricsRegistry | None = None
-) -> MetricsEmitter | None:
-    """Emitter configured from the environment, or ``None`` when off.
-
-    ``REPRO_METRICS_INTERVAL`` (seconds, required to enable) and
-    ``REPRO_METRICS_PATH`` (falling back to ``default_path``; with
-    neither the emitter stays off).
-    """
-    raw = os.environ.get("REPRO_METRICS_INTERVAL")
-    if not raw:
-        return None
-    try:
-        interval = float(raw)
-    except ValueError as exc:
-        raise InvalidParameterError(
-            f"REPRO_METRICS_INTERVAL must be a number of seconds, got {raw!r}"
-        ) from exc
-    path = os.environ.get("REPRO_METRICS_PATH") or default_path
-    if path is None:
-        return None
-    return MetricsEmitter(path, interval=interval, registry=registry)

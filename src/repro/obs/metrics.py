@@ -9,8 +9,7 @@ the *active* registry — the process-wide default, unless a test or a
 driver installs its own with :func:`use_registry`.
 
 All mutation goes through a per-registry lock so the serving
-frontend's threads and the metrics emitter thread can report
-concurrently.
+frontend's threads can report concurrently.
 
 Histograms come in two flavors: summary-only (count/sum/min/max/mean
 plus p50/p95/p99 from the retained sample prefix) and **fixed-boundary**

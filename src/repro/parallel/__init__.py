@@ -20,10 +20,6 @@ directly, so this package provides three coordinated pieces:
   recorded region spans into predicted T(p) for a Perlmutter-like
   :class:`MachineProfile`, producing the strong-scaling and efficiency
   curves of the paper's Figures 6–9.
-
-The paper's §3.1 benign-race claim for SV hooking is exercised with
-real thread interleavings by :mod:`repro.cc.threaded`, which races
-Python threads on one parent array through :class:`AtomicArray`.
 """
 
 from repro.parallel.context import DtypePolicy, ExecutionContext, Workspace
@@ -35,10 +31,8 @@ from repro.parallel.shm import (
     process_backend_available,
 )
 from repro.parallel.simulate import MachineProfile, ScalingCurve, SimulatedMachine
-from repro.parallel.atomics import AtomicArray
 
 __all__ = [
-    "AtomicArray",
     "DtypePolicy",
     "ExecutionContext",
     "ProcessBackend",

@@ -120,8 +120,6 @@ class FrontendConfig:
     ready_timeout_s: float = 60.0
     #: seconds one shard batch call may take before it counts as dead
     call_timeout_s: float = 120.0
-    #: variant shard workers use for journal-replay refresh
-    variant: str = "afforest"
     #: shards check the update journal before every batch
     auto_refresh: bool = False
     #: extra argv appended to the shard command (fault-injection knobs)
@@ -135,7 +133,6 @@ def _shard_command(config: FrontendConfig, rank: int) -> list[str]:
         "--rank", str(rank),
         "--ranks", str(config.num_shards),
         "--cache-size", str(config.cache_size),
-        "--variant", config.variant,
     ]
     if config.auto_refresh:
         cmd.append("--auto-refresh")
@@ -307,7 +304,13 @@ class ShardHandle:
                 fut.set_exception(ShardUnavailableError(message))
 
     async def ensure_alive(self) -> None:
-        """Respawn a dead worker (bounded by ``restart_limit``)."""
+        """Respawn a dead worker (bounded by ``restart_limit``).
+
+        A new worker attaches the file and replays no journal, so when
+        it announces an older generation than its predecessor last did,
+        it replays the journal up to that generation (not past it, where
+        its siblings have not been) before it serves; a worker that
+        cannot is killed."""
         if self.alive:
             return
         async with self._spawn_lock:
@@ -321,9 +324,25 @@ class ShardHandle:
                     f"({self.config.restart_limit})"
                 )
             await self._reap()
+            served = self.generation
             self.restarts += 1
             metrics.inc("repro.serve.frontend.respawns")
             await self.spawn()
+            if served is not None and (self.generation or 0) < served:
+                # written before this task yields, so it is the first
+                # frame the worker reads: no batch can overtake it
+                try:
+                    protocol.raise_for_error(await self.call(
+                        {"op": "refresh", "until": served},
+                        self.config.call_timeout_s,
+                    ))
+                except ReproError as exc:
+                    self._dead = True
+                    await self._reap()
+                    raise ShardUnavailableError(
+                        f"shard {self.rank} could not replay to generation "
+                        f"{served}: {exc}"
+                    ) from exc
 
     async def _reap(self) -> None:
         if self.proc is not None and self.proc.returncode is None:

@@ -17,9 +17,9 @@ Startup handshake: the first line the worker writes is a ``ready``
 frame carrying its rank, pid, attached generation, and owned vertex
 range; the frontend waits for it before admitting traffic.
 
-Staleness: an explicit ``refresh`` op replays journal entries (or
-re-attaches after a rebuild swap) via
-:meth:`~repro.store.reader.AttachedStore.refresh`; ``--auto-refresh``
+Staleness: an explicit ``refresh`` op replays journal entries (up to
+its optional ``until`` generation) or re-attaches after a rebuild swap,
+via :meth:`~repro.store.reader.AttachedStore.refresh`; ``--auto-refresh``
 additionally checks for pending updates before every batch so readers
 track a live writer without frontend involvement.
 
@@ -61,7 +61,6 @@ class ShardWorker:
         cache_size: int = 1024,
         auto_refresh: bool = False,
         delay_ms: float = 0.0,
-        variant: str = "afforest",
     ) -> None:
         from repro.store import attach_store
 
@@ -73,7 +72,6 @@ class ShardWorker:
             )
         self.auto_refresh = auto_refresh
         self.delay_ms = float(delay_ms)
-        self.variant = variant
         self.store = attach_store(store_path)
         self.engine = self.store.engine(cache_size=cache_size)
         self.ownership = BlockOwnership(self.store.graph.num_vertices, self.ranks)
@@ -103,7 +101,7 @@ class ShardWorker:
         if self.auto_refresh and (
             self.store.is_stale() or self.store.pending_updates()
         ):
-            self.store.refresh(variant=self.variant)
+            self.store.refresh()
 
     def handle(self, obj: dict) -> bytes:
         """One request frame → its encoded reply (never raises)."""
@@ -113,7 +111,10 @@ class ShardWorker:
             if op == "batch":
                 return self._op_batch(req_id, obj)
             if op == "refresh":
-                report = self.store.refresh(variant=self.variant)
+                until = obj.get("until")
+                if until is not None and not isinstance(until, int):
+                    raise WireProtocolError("refresh 'until' must be an integer")
+                report = self.store.refresh(until=until)
                 resp = ok_response(
                     req_id,
                     applied=report.applied,
@@ -213,8 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rank", type=int, required=True)
     parser.add_argument("--ranks", type=int, required=True)
     parser.add_argument("--cache-size", type=int, default=1024)
-    parser.add_argument("--variant", default="afforest",
-                        help="variant used for journal-replay refresh")
     parser.add_argument("--auto-refresh", action="store_true",
                         help="check the journal before every batch")
     parser.add_argument("--delay-ms", type=float, default=0.0,
@@ -223,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     worker = ShardWorker(
         args.store, args.rank, args.ranks,
         cache_size=args.cache_size, auto_refresh=args.auto_refresh,
-        delay_ms=args.delay_ms, variant=args.variant,
+        delay_ms=args.delay_ms,
     )
     return worker.run(sys.stdin.buffer, sys.stdout.buffer)
 

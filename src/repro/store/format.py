@@ -37,7 +37,10 @@ Sections
     serve.levels                distinct supernode τ, ascending        [L]      optional
     serve.label_offsets         label suffix bounds per level          [L + 1]  optional
     serve.level_labels          concatenated label suffixes            [Σ]      optional
-    graph.edge_order            (v, u)-sorted edge permutation         [m]      optional
+
+A verified attach checksums every section in the directory, but
+readers use only these names: a section they do not know (the
+``graph.edge_order`` that earlier writers added) is ignored.
 
 **One narrow dtype.** Every section holds one store-wide integer dtype
 (:func:`store_dtype`): little-endian int32 when ``max(n, 2m)`` and the
@@ -114,15 +117,6 @@ REQUIRED_SECTIONS = (
 #: supplied; their presence lets attach skip the union-find sweep):
 #: the levels, then the per-level label-suffix offsets and labels.
 COMPONENT_SECTIONS = ("serve.levels", "serve.label_offsets", "serve.level_labels")
-
-#: Optional cached Init artifact: the edge permutation sorted by (v, u)
-#: — the only sort the fused CSR build performs. Stores carrying it let
-#: a rebuild on the attached dataset skip that sort entirely
-#: (:meth:`repro.store.reader.AttachedStore.rebuild_graph`). Optional
-#: sections need no format-version bump: readers ignore unknown names
-#: and only :data:`REQUIRED_SECTIONS` are enforced.
-EDGE_ORDER_SECTION = "graph.edge_order"
-
 
 #: The store dtypes the reader accepts: the format is little-endian.
 STORE_DTYPES = ("<i4", "<i8")

@@ -218,12 +218,15 @@ class JournalReader:
             1 for e in self._entries() if e.generation > self.seen_generation
         )
 
-    def poll(self) -> list[JournalEntry]:
-        """New complete entries since the last poll (marks them seen)."""
+    def poll(self, until: int | None = None) -> list[JournalEntry]:
+        """New complete entries since the last poll (marks them seen);
+        with ``until``, only those at generation ``until`` or older."""
         if not self.path.exists():
             return []
         fresh = [
-            e for e in self._entries() if e.generation > self.seen_generation
+            e for e in self._entries()
+            if e.generation > self.seen_generation
+            and (until is None or e.generation <= until)
         ]
         if fresh:
             self.seen_generation = fresh[-1].generation

@@ -38,7 +38,6 @@ from repro.obs import metrics
 from repro.obs.histogram import DEFAULT_MS_BOUNDARIES
 from repro.store.format import (
     COMPONENT_SECTIONS,
-    EDGE_ORDER_SECTION,
     PRELUDE_BYTES,
     data_start,
     parse_header,
@@ -90,7 +89,6 @@ def inspect_store(path) -> dict:
         "payload_bytes": header["payload_bytes"],
         "file_bytes": path.stat().st_size,
         "has_components": all(n in sections for n in COMPONENT_SECTIONS),
-        "has_edge_order": EDGE_ORDER_SECTION in sections,
         "sections": {
             name: {"nbytes": e["nbytes"], "dtype": e["dtype"], "shape": e["shape"]}
             for name, e in sections.items()
@@ -146,10 +144,6 @@ def _object_graph(header: dict, views: dict) -> tuple:
         edges,
         index_dtype=np.dtype(header["store_dtype"]),
     )
-    if EDGE_ORDER_SECTION in views:
-        # seed the fused-build sort cache with the mapped (read-only)
-        # permutation so edge_sort_order()/rebuild_graph() never sort
-        graph._edge_order = views[EDGE_ORDER_SECTION]
     indptr = views["index.supernode_indptr"]
     size = views["index.supernode_edges"].size
     if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != size or (
@@ -318,24 +312,6 @@ class AttachedStore:
         self._engines.append(eng)
         return eng
 
-    def rebuild_graph(self, ctx=None) -> CSRGraph:
-        """Rebuild a fresh (non-mapped) CSR over the attached edge list.
-
-        Uses the stored :data:`EDGE_ORDER_SECTION` permutation when the
-        store carries one, so the rebuild skips the fused Init's only
-        sort; without it the permutation is derived from the attached
-        CSR in O(m) — still sort-free. Bit-identical to building from
-        the raw edge list either way.
-        """
-        if self.closed:
-            raise StoreError(f"store {self.path} is closed")
-        return CSRGraph.from_edgelist(
-            self.graph.edges,
-            ctx=ctx,
-            index_dtype=self.graph.index_dtype,
-            edge_order=self.graph.edge_sort_order(),
-        )
-
     # ------------------------------------------------------------------
     # Staleness + journal replay
     # ------------------------------------------------------------------
@@ -361,7 +337,7 @@ class AttachedStore:
             )
         return self._journal
 
-    def refresh(self, variant: str = "afforest") -> RefreshReport:
+    def refresh(self, variant: str = "afforest", until: int | None = None) -> RefreshReport:
         """Bring the attached view up to date with writers.
 
         * File swapped (generation moved) → clean re-attach; every
@@ -369,7 +345,8 @@ class AttachedStore:
         * Journal entries appended → replay them in place through a
           :class:`~repro.equitruss.dynamic.DynamicEquiTruss` seeded
           from the attached arrays (triangles are enumerated once on
-          the first replay, then maintained incrementally).
+          the first replay, then maintained incrementally). ``until``
+          stops the replay at that generation.
         """
         if self.closed:
             raise StoreError(f"store {self.path} is closed")
@@ -380,7 +357,7 @@ class AttachedStore:
                 eng.refresh(self.index, components=self.components)
             return RefreshReport(0, True, self.generation)
         reader = self._journal_reader()
-        entries = reader.poll() if reader is not None else []
+        entries = reader.poll(until) if reader is not None else []
         if not entries:
             metrics.set_gauge("repro.store.journal_lag", 0)
             return RefreshReport(0, False, self.generation)

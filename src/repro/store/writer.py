@@ -28,7 +28,6 @@ from repro.equitruss.index import EquiTrussIndex
 from repro.obs import metrics
 from repro.store.format import (
     COMPONENT_SECTIONS,
-    EDGE_ORDER_SECTION,
     REQUIRED_SECTIONS,
     build_header,
     store_dtype,
@@ -52,16 +51,9 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def store_sections(
-    index: EquiTrussIndex, components=None, *, edge_order: bool = True
-) -> dict[str, np.ndarray]:
+def store_sections(index: EquiTrussIndex, components=None) -> dict[str, np.ndarray]:
     """The section name → array mapping of one index (+ serving tables),
     every array in the one store dtype (:func:`~repro.store.format.store_dtype`).
-
-    ``edge_order=True`` (default) additionally persists the fused Init's
-    sorted-edge artifact (:data:`EDGE_ORDER_SECTION`) so rebuilds on the
-    attached dataset skip the build sort; it is derived from the CSR
-    without sorting when the graph did not cache it.
     """
     graph = index.graph
     sections: dict[str, np.ndarray] = {
@@ -80,8 +72,6 @@ def store_sections(
     assert tuple(sections) == REQUIRED_SECTIONS
     if components is not None:
         sections.update(zip(COMPONENT_SECTIONS, components.to_tables()))
-    if edge_order:
-        sections[EDGE_ORDER_SECTION] = graph.edge_sort_order()
     labels = sections.get(COMPONENT_SECTIONS[-1])
     dtype = store_dtype(
         graph.num_vertices, graph.num_edges, 0 if labels is None else labels.size

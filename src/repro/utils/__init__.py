@@ -1,6 +1,5 @@
-"""Shared utilities: timers, RNG helpers, validation."""
+"""Shared utilities: RNG helpers, validation."""
 
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_array_1d,
     check_in_range,
@@ -10,7 +9,6 @@ from repro.utils.validation import (
 from repro.utils.rng import resolve_rng
 
 __all__ = [
-    "Timer",
     "check_array_1d",
     "check_in_range",
     "check_nonnegative",

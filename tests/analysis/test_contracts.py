@@ -372,7 +372,6 @@ FORMAT_OK = """\
         "graph.nodes",
         "graph.edges",
     )
-    EDGE_ORDER_SECTION = "graph.edge_order"
 """
 
 
@@ -380,7 +379,7 @@ def test_rep010_ad_hoc_section_literal_flagged(tmp_path):
     write_module(tmp_path, "store", FORMAT_OK, name="format.py")
     write_module(tmp_path, "store", """\
         def sections():
-            return ["graph.nodes", "graph.rogue", "graph.edge_order"]
+            return ["graph.nodes", "graph.rogue"]
     """, name="writer.py")
     findings = by_rule(lint_tree(tmp_path), "REP010")
     assert len(findings) == 1

@@ -106,41 +106,3 @@ def test_fused_build_matches_keyed_build():
         assert np.array_equal(np.asarray(g.indptr), np.asarray(ref.indptr))
         assert np.array_equal(np.asarray(g.indices), np.asarray(ref.indices))
         assert np.array_equal(np.asarray(g.edge_ids), np.asarray(ref.edge_ids))
-
-
-def test_edge_sort_order_cached_and_derived_agree():
-    for edges in _fused_cases():
-        expected = np.argsort(np.asarray(edges.v), kind="stable")
-        g = CSRGraph.from_edgelist(edges)
-        cached = g.edge_sort_order()
-        assert np.array_equal(cached, expected)
-        assert not cached.flags.writeable
-        # a graph that never built (attach path) derives it from the CSR
-        bare = CSRGraph(
-            np.asarray(g.indptr), np.asarray(g.indices),
-            np.asarray(g.edge_ids), g.edges,
-        )
-        assert bare._edge_order is None
-        assert np.array_equal(bare.edge_sort_order(), expected)
-
-
-def test_from_edgelist_accepts_cached_edge_order():
-    for edges in _fused_cases():
-        ref = CSRGraph.from_edgelist(edges)
-        g = CSRGraph.from_edgelist(edges, edge_order=ref.edge_sort_order())
-        assert np.array_equal(np.asarray(g.indptr), np.asarray(ref.indptr))
-        assert np.array_equal(np.asarray(g.indices), np.asarray(ref.indices))
-        assert np.array_equal(np.asarray(g.edge_ids), np.asarray(ref.edge_ids))
-
-
-def test_from_edgelist_rejects_wrong_edge_order():
-    from repro.errors import GraphConstructionError
-
-    edges = erdos_renyi_gnm(20, 60, seed=1)
-    good = CSRGraph.from_edgelist(edges).edge_sort_order()
-    bad = np.array(good)
-    if bad.size >= 2:
-        bad[[0, 1]] = bad[[1, 0]]
-    for wrong in (bad, good[:-1]):
-        with pytest.raises(GraphConstructionError):
-            CSRGraph.from_edgelist(edges, edge_order=wrong)

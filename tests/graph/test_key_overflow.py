@@ -88,7 +88,6 @@ def test_fused_build_matches_keyed_past_int32():
         assert np.array_equal(np.asarray(g.indptr), np.asarray(ref.indptr))
         assert np.array_equal(np.asarray(g.indices), np.asarray(ref.indices))
         assert np.array_equal(np.asarray(g.edge_ids), np.asarray(ref.edge_ids))
-        assert np.array_equal(g.edge_sort_order(), ref.edge_sort_order())
 
 
 def test_auto_policy_resolves_int32_indices_int64_keys():

@@ -12,7 +12,6 @@ import pytest
 from repro.cli import main
 from repro.equitruss.kernels import KERNELS
 from repro.obs.export import read_metrics_json, read_trace_jsonl, write_trace_jsonl
-from repro.obs.exporter import read_metrics_jsonl
 from repro.obs.manifest import read_manifest
 
 
@@ -101,16 +100,3 @@ def test_index_writes_prometheus_and_manifest(tmp_path):
     assert manifest["dataset"]["name"] == str(graph)
     assert manifest["execution"]["backend"] == "serial"
     assert manifest["extra"]["command"] == "index"
-
-
-def test_index_env_driven_metrics_stream(tmp_path, monkeypatch):
-    graph = tmp_path / "g.npz"
-    assert main(["generate", "gnm", "--n", "40", "--m", "160",
-                 "--seed", "2", "--out", str(graph)]) == 0
-    stream = tmp_path / "stream.jsonl"
-    monkeypatch.setenv("REPRO_METRICS_INTERVAL", "60")
-    monkeypatch.setenv("REPRO_METRICS_PATH", str(stream))
-    assert main(["index", str(graph), "--out", str(tmp_path / "i.eqtsidx")]) == 0
-    records = read_metrics_jsonl(stream)
-    assert len(records) >= 1  # stop() always flushes a final snapshot
-    assert records[-1]["metrics"]["repro.pipeline.builds"] == 1

@@ -1,16 +1,7 @@
-"""Prometheus renderer + rolling JSONL metrics emitter."""
+"""Prometheus text renderer."""
 
-import pytest
-
-from repro.errors import InvalidParameterError
-from repro.obs.exporter import (
-    MetricsEmitter,
-    emitter_from_env,
-    prometheus_name,
-    read_metrics_jsonl,
-    render_prometheus,
-)
-from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
+from repro.obs.exporter import prometheus_name, render_prometheus
+from repro.obs.metrics import MetricsRegistry
 
 
 def make_registry() -> MetricsRegistry:
@@ -57,57 +48,3 @@ def test_render_prometheus_counter_gauge_histogram():
 
 def test_render_prometheus_empty_registry():
     assert render_prometheus(MetricsRegistry()) == ""
-
-
-def test_emitter_appends_schema_stamped_lines(tmp_path):
-    reg = make_registry()
-    path = tmp_path / "metrics.jsonl"
-    emitter = MetricsEmitter(path, registry=reg)
-    emitter.emit_once()
-    reg.counter("repro.test.hits").inc()
-    emitter.emit_once()
-    records = read_metrics_jsonl(path)
-    assert len(records) == 2
-    for rec in records:
-        assert rec["schema"] == "repro.metrics"
-        assert rec["version"] == METRICS_SCHEMA_VERSION
-        assert "unix" in rec
-    assert records[0]["metrics"]["repro.test.hits"] == 5
-    assert records[1]["metrics"]["repro.test.hits"] == 6
-
-
-def test_emitter_thread_lifecycle(tmp_path):
-    reg = make_registry()
-    path = tmp_path / "stream.jsonl"
-    with MetricsEmitter(path, interval=0.01, registry=reg):
-        reg.counter("repro.test.hits").inc()
-    # stop() always writes a final snapshot, so even instant runs have
-    # at least one line
-    records = read_metrics_jsonl(path)
-    assert len(records) >= 1
-    assert records[-1]["metrics"]["repro.test.hits"] == 6
-
-
-def test_emitter_rejects_bad_interval(tmp_path):
-    with pytest.raises(InvalidParameterError):
-        MetricsEmitter(tmp_path / "x.jsonl", interval=0)
-
-
-def test_emitter_from_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_METRICS_INTERVAL", raising=False)
-    monkeypatch.delenv("REPRO_METRICS_PATH", raising=False)
-    assert emitter_from_env() is None  # no interval: off
-
-    monkeypatch.setenv("REPRO_METRICS_INTERVAL", "0.5")
-    assert emitter_from_env() is None  # interval but nowhere to write
-
-    path = tmp_path / "env.jsonl"
-    monkeypatch.setenv("REPRO_METRICS_PATH", str(path))
-    emitter = emitter_from_env()
-    assert emitter is not None
-    assert emitter.interval == 0.5
-    assert emitter.path == path
-
-    monkeypatch.setenv("REPRO_METRICS_INTERVAL", "not-a-number")
-    with pytest.raises(InvalidParameterError):
-        emitter_from_env()

@@ -4,7 +4,9 @@ The frontend answers a query with ``k`` above its vertex's max
 trussness itself, from a table derived from the store file. These
 tests move the shards' index every way it can move under a live
 2-shard frontend: journal replays on ``refresh``, auto-refresh, a
-rebuild swap, and a shard respawned onto a swapped file. After each
+rebuild swap, a shard respawned onto a swapped file, and a shard
+respawned after a journal replay (it replays up to the generation it
+served, not past its sibling). After each
 move every ``every_pair`` pair of the old and the new index must come
 back over the wire equal to an engine built from scratch on the
 writer's graph. Local answers must happen exactly while the table
@@ -21,12 +23,18 @@ import numpy as np
 import pytest
 
 from repro.equitruss import DynamicEquiTruss, build_index
-from repro.errors import ShardUnavailableError
+from repro.errors import ShardUnavailableError, WireProtocolError
 from repro.graph import CSRGraph
 from repro.graph.generators import erdos_renyi_gnm
 from repro.serve import QueryEngine, ServeClient
 from repro.serve.frontend import FrontendConfig, FrontendThread
-from repro.serve.protocol import BlockOwnership, serialize_communities
+from repro.serve.protocol import (
+    BlockOwnership,
+    decode_frame,
+    raise_for_error,
+    serialize_communities,
+)
+from repro.serve.shard import ShardWorker
 from repro.store.journal import StoreJournal
 from tests.serve.test_engine_differential import every_pair
 
@@ -95,6 +103,14 @@ def answered_wrong_by(old_index, expected):
         (v, k) for (v, k), communities in expected.items()
         if communities and k > table[v]
     ]
+
+
+def kill_shard(client, rank):
+    os.kill(client.stats()["shards"][rank]["pid"], signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while client.stats()["shards"][rank]["alive"]:
+        assert time.monotonic() < deadline, "kill went unnoticed"
+        time.sleep(0.01)
 
 
 def updates(dyn, rng):
@@ -183,11 +199,7 @@ def test_shard_respawned_onto_a_swapped_file_stops_local_answers(store):
             assert before["table_generation"] == 1
             assert client.ping()["generation"] == 1
 
-            os.kill(client.stats()["shards"][0]["pid"], signal.SIGKILL)
-            deadline = time.monotonic() + 30.0
-            while client.stats()["shards"][0]["alive"]:
-                assert time.monotonic() < deadline, "kill went unnoticed"
-                time.sleep(0.01)
+            kill_shard(client, 0)
             lo, _ = ownership.owned_range(0)
             client.query(int(lo), 3)  # routed: respawns shard 0 at gen 2
             assert client.stats()["shards"][0]["restarts"] == 1
@@ -207,6 +219,49 @@ def test_shard_respawned_onto_a_swapped_file_stops_local_answers(store):
             after = frontend_stats(client)
             assert after["local_answers"] == before["local_answers"]
             assert after["table_generation"] is None
+
+
+def test_shard_respawned_after_a_journal_replay_serves_its_generation(store):
+    graph, path = store
+    journal = StoreJournal.for_store(path)
+    dyn = DynamicEquiTruss(graph, "afforest")
+    dyn.publish_to(journal)
+    rng = np.random.default_rng(8)
+    ownership = BlockOwnership(graph.num_vertices, 2)
+    config = FrontendConfig(store_path=path, num_shards=2)
+    with FrontendThread(config) as server:
+        with ServeClient(server.host, server.port) as client:
+            base = dyn.index
+            insert_clique(dyn, rng)
+            assert [r["applied"] for r in client.refresh()] == [1, 1]
+            refreshed_graph, refreshed = dyn.graph, dyn.index
+            served = journal.generation
+            # journalled but not refreshed: no shard may serve it yet
+            insert_clique(dyn, rng)
+            assert journal.generation == served + 1
+
+            kill_shard(client, 0)
+            lo, _ = ownership.owned_range(0)
+            client.query(int(lo), 3)  # routed: respawns shard 0
+            stats = client.stats()
+            assert stats["shards"][0]["restarts"] == 1
+            assert [s["stats"]["generation"] for s in stats["shards"]] == [
+                served, served,
+            ]
+            check_pairs(client, refreshed_graph, base, refreshed, dyn.index)
+
+
+def test_shard_refresh_until_must_be_an_integer(store):
+    _, path = store
+    worker = ShardWorker(str(path), 0, 1)
+    try:
+        reply = decode_frame(worker.handle({"id": 1, "op": "refresh", "until": "2"}))
+        with pytest.raises(WireProtocolError, match="until"):
+            raise_for_error(reply)
+        reply = decode_frame(worker.handle({"id": 2, "op": "refresh", "until": 1}))
+        assert raise_for_error(reply)["generation"] == 1
+    finally:
+        worker.close()
 
 
 def test_unattachable_store_fails_start_typed(store):

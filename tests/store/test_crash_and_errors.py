@@ -26,7 +26,6 @@ from repro.parallel.context import ExecutionContext
 from repro.store import attach_store, inspect_store
 from repro.store.format import (
     COMPONENT_SECTIONS,
-    EDGE_ORDER_SECTION,
     PRELUDE_BYTES,
     REQUIRED_SECTIONS,
     STORE_MAGIC,
@@ -38,7 +37,7 @@ from repro.store.reader import read_header, verify_store
 from repro.store.writer import write_store
 
 #: every section a store built with components carries
-ALL_SECTIONS = REQUIRED_SECTIONS + COMPONENT_SECTIONS + (EDGE_ORDER_SECTION,)
+ALL_SECTIONS = REQUIRED_SECTIONS + COMPONENT_SECTIONS
 
 
 @pytest.fixture
@@ -56,9 +55,7 @@ class _Boom(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize(
-    "die_at", ["graph.u", "index.trussness", *COMPONENT_SECTIONS, EDGE_ORDER_SECTION]
-)
+@pytest.mark.parametrize("die_at", ["graph.u", "index.trussness", *COMPONENT_SECTIONS])
 def test_writer_exception_mid_write_preserves_old_store(built, die_at):
     g, result = built
     path = result.store_path

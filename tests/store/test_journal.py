@@ -109,6 +109,24 @@ def test_incremental_polls_see_only_new_batches(built):
     store.close()
 
 
+def test_refresh_until_stops_the_replay_at_that_generation(built):
+    g, result = built
+    journal = StoreJournal.for_store(result.store_path)
+    dyn = DynamicEquiTruss(g, "afforest")
+    dyn.publish_to(journal)
+    dyn.insert_edges([0], [50])
+    middle = dyn.graph
+    dyn.insert_edges([1], [60])
+    with attach_store(result.store_path) as store:
+        report = store.refresh(until=2)
+        assert report.applied == 1 and report.generation == 2
+        assert store.pending_updates() == 1
+        scratch = build_index(middle, "afforest").index
+        assert np.array_equal(store.index.trussness, scratch.trussness)
+        assert store.refresh(until=2).applied == 0
+        assert store.refresh().generation == 3
+
+
 def test_swap_triggers_reattach_and_engine_rebind(built):
     g, result = built
     journal = StoreJournal.for_store(result.store_path)

@@ -27,7 +27,6 @@ from repro.store import STORE_FORMAT_VERSION, attach_store
 from repro.store.format import REQUIRED_SECTIONS, store_dtype
 from repro.store.reader import inspect_store, verify_store
 from repro.store.writer import write_store
-from tests.graph.keyed_oracle import keyed_csr
 
 GRAPHS = {
     "er": lambda: erdos_renyi_gnm(300, 2600, seed=11),
@@ -109,7 +108,7 @@ def test_attach_is_zero_copy(tmp_path):
     suffixes = [store.components.suffix(k)[1] for k in levels.tolist()]
     for arr in (store.graph.indptr, store.graph.indices, store.graph.edge_ids,
                 store.graph.edges.u, store.graph.edges.v,
-                store.graph._edge_order, levels, *suffixes):
+                levels, *suffixes):
         assert np.shares_memory(arr, store._buf)
         assert arr.dtype == np.int32
     store.close()
@@ -216,61 +215,42 @@ def test_variants_write_identical_payloads(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Cached Init artifact: the graph.edge_order section
+# Stores with the retired graph.edge_order section
 # ----------------------------------------------------------------------
 
-def test_store_carries_edge_order_and_rebuild_skips_sort(tmp_path):
-    from repro.store.format import EDGE_ORDER_SECTION
+def test_store_with_retired_edge_order_section_still_serves(tmp_path, monkeypatch):
+    """Earlier writers added a ``graph.edge_order`` section (the (v, u)
+    edge permutation, in the store dtype). The reader ignores it: such a
+    file attaches verified and answers exactly like one without it."""
+    import repro.store.writer as writer_mod
+    from repro.serve.components import LevelComponents
 
     g = _graph("er")
-    result = build_index(g, "coptimal", store_path=tmp_path / "g.eqtsidx")
-    info = inspect_store(result.store_path)
-    assert info["has_edge_order"]
-    assert EDGE_ORDER_SECTION in info["sections"]
-    with attach_store(result.store_path, verify=True) as store:
-        mapped = store.graph._edge_order
-        assert mapped is not None and not mapped.flags.writeable
-        expected = np.argsort(np.asarray(g.edges.v), kind="stable")
-        assert np.array_equal(mapped, expected)
-        # edge_sort_order() must serve the mapped section, not re-sort
-        assert store.graph.edge_sort_order() is mapped
-        rebuilt = store.rebuild_graph()
-        ref = keyed_csr(g.edges)
-        assert np.array_equal(np.asarray(rebuilt.indptr), np.asarray(ref.indptr))
-        assert np.array_equal(np.asarray(rebuilt.indices), np.asarray(ref.indices))
-        assert np.array_equal(
-            np.asarray(rebuilt.edge_ids), np.asarray(ref.edge_ids)
-        )
+    result = build_index(g, "afforest", store_path=tmp_path / "new.eqtsidx")
+    plain = writer_mod.store_sections
 
+    def with_edge_order(index, components=None):
+        sections = plain(index, components)
+        order = np.argsort(np.asarray(index.graph.edges.v), kind="stable")
+        sections["graph.edge_order"] = order.astype(sections["graph.u"].dtype)
+        return sections
 
-def test_attach_tolerates_store_without_edge_order(tmp_path):
-    """Stores written before (or without) the section attach fine and
-    derive the permutation from the mapped CSR on demand."""
-    from repro.store.writer import store_sections, write_store
-
-    g = _graph("paper")
-    index = build_index(g, "afforest").index
-    sections = store_sections(index, edge_order=False)
-    from repro.store.format import EDGE_ORDER_SECTION
-
-    assert EDGE_ORDER_SECTION not in sections
-    import repro.store.writer as writer_mod
-
-    orig = writer_mod.store_sections
-    writer_mod.store_sections = lambda idx, components=None: store_sections(
-        idx, components, edge_order=False
-    )
-    try:
-        write_store(index, tmp_path / "old.eqtsidx")
-    finally:
-        writer_mod.store_sections = orig
-    info = inspect_store(tmp_path / "old.eqtsidx")
-    assert not info["has_edge_order"]
-    with attach_store(tmp_path / "old.eqtsidx", verify=True) as store:
-        assert store.graph._edge_order is None
-        expected = np.argsort(np.asarray(g.edges.v), kind="stable")
-        assert np.array_equal(store.graph.edge_sort_order(), expected)
-        rebuilt = store.rebuild_graph()
-        assert np.array_equal(
-            np.asarray(rebuilt.indptr), np.asarray(store.graph.indptr)
-        )
+    monkeypatch.setattr(writer_mod, "store_sections", with_edge_order)
+    old = write_store(result.index, tmp_path / "old.eqtsidx",
+                      components=LevelComponents(result.index))
+    monkeypatch.undo()
+    assert "graph.edge_order" in inspect_store(old)["sections"]
+    assert "graph.edge_order" not in inspect_store(result.store_path)["sections"]
+    assert verify_store(old)["ok"]
+    with attach_store(old, verify=True) as old_store, \
+            attach_store(result.store_path, verify=True) as new_store:
+        assert_index_identical(result.index, old_store)
+        old_eng, new_eng = old_store.engine(), new_store.engine()
+        for q in range(g.num_vertices):
+            for k in query_candidate_ks(result.index, q):
+                expected = new_eng.query(q, int(k))
+                got = old_eng.query(q, int(k))
+                assert len(got) == len(expected), (q, k)
+                for e, c in zip(expected, got):
+                    assert e.k == c.k, (q, k)
+                    assert np.array_equal(e.edge_ids, c.edge_ids), (q, k)

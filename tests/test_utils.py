@@ -1,52 +1,16 @@
 """Unit tests for the utils package."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
 from repro.utils import (
-    Timer,
     check_array_1d,
     check_in_range,
     check_nonnegative,
     check_positive,
     resolve_rng,
 )
-
-
-def test_timer_measures():
-    with Timer() as t:
-        time.sleep(0.01)
-    assert t.elapsed >= 0.009
-
-
-def test_timer_accumulates():
-    t = Timer()
-    t.start()
-    t.stop()
-    first = t.elapsed
-    t.start()
-    t.stop()
-    assert t.elapsed >= first
-
-
-def test_timer_stop_before_start():
-    with pytest.raises(RuntimeError):
-        Timer().stop()
-
-
-def test_timer_start_while_running_raises():
-    t = Timer()
-    t.start()
-    with pytest.raises(RuntimeError):
-        t.start()  # a silent restart would discard the first origin
-    # the failed start must not corrupt the running measurement
-    t.stop()
-    assert t.elapsed >= 0.0
-    t.start()  # stopped timers restart fine
-    t.stop()
 
 
 def test_resolve_rng():
