@@ -10,7 +10,8 @@ the environment before the frontend starts:
   individually timed (by wrapping :meth:`asyncio.events.Handle._run`),
   and any callback exceeding the threshold is recorded with its
   duration, a description of the callback, and the most recent stack
-  sample captured from the loop thread while it ran.
+  sample captured from the loop thread while it ran. The watchdog
+  writes each recorded stall to stderr when it is torn down.
 * ``REPRO_LOOP_CHECK=strict`` — additionally raise
   :class:`~repro.errors.LoopStallError` when the watchdog is torn down
   with stalls on record (the hard failure mode tests use).
@@ -173,13 +174,16 @@ class LoopStallWatchdog:
         self._thread_id = None
 
     def check(self) -> None:
-        """Raise :class:`LoopStallError` if strict and stalls were seen."""
+        """Report the stalls seen: raise :class:`LoopStallError` if
+        strict, else write each one to stderr."""
         if self.strict and self.stalls:
             worst = max(self.stalls, key=lambda s: s.elapsed_ms)
             raise LoopStallError(
                 f"event loop stalled {len(self.stalls)} time(s); worst: "
                 f"{worst.format()}"
             )
+        for stall in self.stalls:
+            print(f"event loop stall: {stall.format()}", file=sys.stderr)
 
     # ------------------------------------------------------------------
     def _sample_loop(self) -> None:

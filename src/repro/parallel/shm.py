@@ -18,9 +18,9 @@ Three coordinated pieces:
   are module-level functions plus :class:`SharedHandle` arguments; the
   heavy kernels submit one task per worker following the
   **partition → privatize → reduce** shape of PKT [Kabir & Madduri,
-  arXiv:1707.02000]: each worker writes private partial results
-  (``bincount`` rows, append buffers) into shared memory and the
-  coordinator reduces, so no cross-process atomics are ever needed.
+  arXiv:1707.02000]: each worker writes its private partial result (an
+  append buffer) into shared memory and the coordinator reduces, so no
+  cross-process atomics are ever needed.
 
 * :func:`export_array` / :func:`import_array` — the per-worker append
   buffer protocol. A worker materializes its variable-sized output

@@ -162,6 +162,9 @@ class ShardHandle:
         #: the store generation the worker last announced (its ready
         #: frame, a batch header, a refresh reply); None before spawn
         self.generation: int | None = None
+        #: the vertex count of the store the worker last announced (its
+        #: ready frame, a refresh reply); None before spawn
+        self.num_vertices: int | None = None
         self.restarts = 0
         self._seq = 0
         #: request id -> (reply future, answers expected if a batch)
@@ -231,6 +234,7 @@ class ShardHandle:
             )
         self.ready = frame
         self.generation = frame.get("generation")
+        self.num_vertices = frame.get("num_vertices")
         self._attach(proc)
 
     def _attach(self, proc: Any) -> None:
@@ -268,6 +272,8 @@ class ShardHandle:
             fut, expected = self._pending.pop(rid, (None, None))
             if frame.get("ok") and isinstance(frame.get("generation"), int):
                 self.generation = frame["generation"]
+            if frame.get("ok") and isinstance(frame.get("num_vertices"), int):
+                self.num_vertices = frame["num_vertices"]
             result: Any = frame
             if frame.get("ok") and (expected is not None or "sizes" in frame):
                 try:
@@ -417,10 +423,10 @@ class ServingFrontend:
                 f"num_shards must be >= 1, got {config.num_shards}"
             )
         header = read_header(config.store_path)
-        self.num_vertices = int(header["num_vertices"])
+        self._header_num_vertices = int(header["num_vertices"])
         self._header_generation = int(header["generation"])
         self._ownership = protocol.BlockOwnership(
-            self.num_vertices, config.num_shards
+            self._header_num_vertices, config.num_shards
         )
         self.shards = [ShardHandle(config, r) for r in range(config.num_shards)]
         self.host: str | None = None
@@ -452,6 +458,15 @@ class ServingFrontend:
         return max(
             (s.generation for s in self.shards if s.generation is not None),
             default=self._header_generation,
+        )
+
+    @property
+    def num_vertices(self) -> int:
+        """The smallest vertex count a shard announced (the header's
+        before any shard has): every shard knows every vertex below it."""
+        return min(
+            (s.num_vertices for s in self.shards if s.num_vertices is not None),
+            default=self._header_num_vertices,
         )
 
     def _local_table(self) -> np.ndarray | None:

@@ -19,7 +19,8 @@ range; the frontend waits for it before admitting traffic.
 
 Staleness: an explicit ``refresh`` op replays journal entries (up to
 its optional ``until`` generation) or re-attaches after a rebuild swap,
-via :meth:`~repro.store.reader.AttachedStore.refresh`; ``--auto-refresh``
+via :meth:`~repro.store.reader.AttachedStore.refresh`, and replies with
+the generation and vertex count it now serves; ``--auto-refresh``
 additionally checks for pending updates before every batch so readers
 track a live writer without frontend involvement.
 
@@ -120,6 +121,7 @@ class ShardWorker:
                     applied=report.applied,
                     swapped=report.swapped,
                     generation=report.generation,
+                    num_vertices=int(self.store.graph.num_vertices),
                 )
             elif op == "metrics":
                 resp = ok_response(req_id, state=metrics.get_registry().dump_state())

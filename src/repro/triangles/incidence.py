@@ -20,9 +20,8 @@ from repro.utils.sorting import group_by
 class EdgeTriangleIncidence:
     """CSR mapping edge id → ids of incident triangles.
 
-    ``triangles_of(e)`` is a zero-copy view; ``partners`` gives, for
-    every (edge, triangle) incidence, the other two edges of that
-    triangle — the arrays the peeling kernel gathers from.
+    ``triangles_of(e)`` is a zero-copy view; ``degree()`` is each edge's
+    support. The peeling kernel gathers from ``indptr`` and ``tri_ids``.
     """
 
     __slots__ = ("indptr", "tri_ids", "num_edges", "_tri")
@@ -59,19 +58,3 @@ class EdgeTriangleIncidence:
     def degree(self) -> np.ndarray:
         """Incidence count per edge (equals the edge's support)."""
         return np.diff(self.indptr)
-
-    def partners(self, eids: np.ndarray, tids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Other two edge ids of triangle ``tids[i]`` as seen from ``eids[i]``.
-
-        Vectorized: for each (edge, triangle) incidence pair, returns the
-        two remaining sides of the triangle.
-        """
-        tri = self._tri
-        a = tri.e_uv[tids]
-        b = tri.e_uw[tids]
-        c = tri.e_vw[tids]
-        is_a = a == eids
-        is_b = b == eids
-        first = np.where(is_a, b, a)
-        second = np.where(is_a | is_b, c, b)
-        return first, second

@@ -1,10 +1,9 @@
 """Per-edge support (Definition 2) — the input to truss decomposition.
 
-This is the paper's ``Support`` kernel (Figs. 2 and 4). Under the
-process backend the triple arrays are shared once and each worker
-accumulates a *privatized* ``bincount`` row over its triangle range into
-a shared partial matrix; the coordinator reduces the rows with one sum —
-the PKT privatize-and-reduce shape, no cross-process atomics.
+This is the paper's ``Support`` kernel (Figs. 2 and 4). The counts are
+three ``bincount``s over the triangle columns, taken on the coordinator
+on every backend: under the process backend the region's parallel work
+is the triangle enumeration it wraps.
 """
 
 from __future__ import annotations
@@ -15,61 +14,6 @@ from repro.graph.csr import CSRGraph
 from repro.obs import metrics
 from repro.parallel.context import ExecutionContext
 from repro.triangles.enumerate import TriangleSet, enumerate_triangles
-
-
-def _w_support_partial(uv_h, uw_h, vw_h, lo: int, hi: int, m: int, out_h, row: int):
-    """Process-pool worker: privatized support counts for one triangle range."""
-    from repro.parallel.shm import attach
-
-    acc = attach(out_h)[row]
-    acc[:] = 0
-    for h in (uv_h, uw_h, vw_h):
-        arr = attach(h)
-        acc += np.bincount(arr[lo:hi], minlength=m)
-    # worker-attributed partial: summed across tasks this equals the
-    # serial path's 3 * triangles.count exactly
-    metrics.inc("repro.triangles.support_updates", 3 * (hi - lo))
-    return hi - lo
-
-
-def parallel_support(
-    triangles: TriangleSet, ctx: ExecutionContext | None = None, dtype=None
-) -> np.ndarray:
-    """Support array via partition → privatize → reduce when the process
-    backend is active; the vectorized serial accumulation otherwise.
-
-    Bit-identical to :meth:`TriangleSet.support` — integer partial sums
-    reduce exactly regardless of the partitioning. Items are whole
-    triangles (three ``bincount`` updates each, a uniform per-item
-    cost), so :meth:`ExecutionContext.partition_ranges` splits them by
-    count.
-    """
-    from repro.parallel.shm import active_process_backend
-
-    backend = active_process_backend(ctx, triangles.count)
-    if backend is None:
-        metrics.inc("repro.triangles.support_updates", 3 * triangles.count)
-        return triangles.support(dtype=dtype)
-    m = triangles.num_edges
-    pool = backend.pool
-    uv_h = pool.share("sup.uv", triangles.e_uv)[1]
-    uw_h = pool.share("sup.uw", triangles.e_uw)[1]
-    vw_h = pool.share("sup.vw", triangles.e_vw)[1]
-    ranges = ctx.partition_ranges(triangles.count)
-    partials, out_h = pool.take("sup.partials", (len(ranges), m), np.int64)
-    tasks = [
-        (uv_h, uw_h, vw_h, lo, hi, m, out_h, row)
-        for row, (lo, hi) in enumerate(ranges)
-    ]
-    backend.map_tasks(
-        _w_support_partial,
-        tasks,
-        ctx=ctx,
-        work=[hi - lo for lo, hi in ranges],
-        kernel="Support",
-    )
-    reduced = partials.sum(axis=0)
-    return reduced.astype(dtype, copy=False) if dtype is not None else reduced
 
 
 def compute_support(
@@ -97,7 +41,8 @@ def compute_support(
         if triangles is None:
             triangles = enumerate_triangles(graph, ctx=ctx)
         sp.set(work=max(triangles.count, graph.num_edges))
-        support = parallel_support(triangles, ctx, dtype=dtype)
+        metrics.inc("repro.triangles.support_updates", 3 * triangles.count)
+        support = triangles.support(dtype=dtype)
         if support.size:
             metrics.set_gauge_max("repro.triangles.support_max", int(support.max()))
         return support

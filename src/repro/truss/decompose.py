@@ -18,10 +18,10 @@ jump. After that the next frontier comes from the sub-round's own
 decrements (PKT's curr/next frontier): the surviving sides of the dying
 triangles are sorted once into distinct edge ids with counts, their
 support drops by those counts, and the ids now below k - 2 are the next
-frontier, already in ascending order. Under the process backend the
-decrement counts fan out as privatized ``bincount`` rows (partition →
-privatize → reduce), so ``trussness``, ``support`` and ``peel_rounds``
-are bit-identical across backends.
+frontier, already in ascending order. Support and the decrement counts
+are computed this one way on every backend (the initial support is the
+incidence's row lengths), so ``trussness``, ``support`` and
+``peel_rounds`` are bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -96,36 +96,6 @@ def k_truss_edge_mask(decomp: TrussDecomposition, k: int) -> np.ndarray:
     return decomp.trussness >= k
 
 
-def _w_decrement_partial(sides_h, lo: int, hi: int, m: int, out_h, row: int):
-    """Process-pool worker: privatized decrement counts for one range."""
-    from repro.parallel.shm import attach
-
-    sides = attach(sides_h)
-    out = attach(out_h)
-    np.copyto(out[row], np.bincount(sides[lo:hi], minlength=m))
-    # worker-attributed partial: summed across tasks this equals the
-    # serial path's sides.size exactly
-    metrics.inc("repro.truss.support_decrements", hi - lo)
-    return hi - lo
-
-
-def _fanout_counts(backend, ctx, sides: np.ndarray, ids: np.ndarray, m: int):
-    """Decrement count of each id in ``ids`` (the distinct ``sides``),
-    reduced from privatized per-worker ``bincount`` rows."""
-    pool = backend.pool
-    _, sides_h = pool.share("peel.sides", sides)
-    ranges = ctx.partition_ranges(sides.size)
-    partials, out_h = pool.take("peel.partials", (len(ranges), m), np.int64)
-    backend.map_tasks(
-        _w_decrement_partial,
-        [(sides_h, lo, hi, m, out_h, row) for row, (lo, hi) in enumerate(ranges)],
-        ctx=ctx,
-        work=[hi - lo for lo, hi in ranges],
-        kernel="SupportDecrement",
-    )
-    return partials[:, ids].sum(axis=0)
-
-
 def truss_decomposition(
     graph: CSRGraph,
     triangles: TriangleSet | None = None,
@@ -139,20 +109,14 @@ def truss_decomposition(
     edges. The frontier rounds are the barrier-synchronized rounds
     recorded for the machine model.
     """
-    from repro.parallel.shm import active_process_backend
-    from repro.triangles.support import parallel_support
-
     ctx = ExecutionContext.ensure(ctx)
     if triangles is None:
         triangles = enumerate_triangles(graph, ctx=ctx)
     m = graph.num_edges
     with ctx.region("TrussDecomp", work=0, rounds=0, intensity="memory"):
         inc = EdgeTriangleIncidence(triangles, ctx=ctx)
-        if active_process_backend(ctx, triangles.count) is None:  # serial
-            metrics.inc("repro.triangles.support_updates", 3 * triangles.count)
-            sup = inc.degree().astype(np.int64)  # row lengths = support
-        else:
-            sup = parallel_support(triangles, ctx, dtype=np.int64)
+        metrics.inc("repro.triangles.support_updates", 3 * triangles.count)
+        sup = inc.degree().astype(np.int64)  # row lengths = support
         support0 = sup.copy()
         tau = np.full(m, 2, dtype=np.int64)
         alive_e = np.ones(m, dtype=bool)
@@ -165,8 +129,6 @@ def truss_decomposition(
             for a in (triangles.e_uv, triangles.e_uw, triangles.e_vw)
         )
         indptr, tri_ids = inc.indptr, inc.tri_ids
-
-        backend = active_process_backend(ctx, m)
 
         def cascade(frontier: np.ndarray) -> np.ndarray:
             """Surviving member edges of triangles dying with ``frontier``.
@@ -187,14 +149,6 @@ def truss_decomposition(
             alive_t[dying] = False
             sides = np.concatenate([e_uv[dying], e_uw[dying], e_vw[dying]])
             return sides[alive_e[sides]]
-
-        def decrements(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Sorted distinct ``sides`` and how often each occurs."""
-            if backend is not None and sides.size >= backend.min_items:
-                ids = unique_sorted(sides)
-                return ids, _fanout_counts(backend, ctx, sides, ids, m)
-            metrics.inc("repro.truss.support_decrements", sides.size)
-            return unique_counts(sides)
 
         rounds = 0
         level_scans = 0
@@ -228,7 +182,8 @@ def truss_decomposition(
                 sides = cascade(frontier)
                 if not sides.size:
                     break  # no support changed: no new frontier edge
-                ids, counts = decrements(sides)
+                metrics.inc("repro.truss.support_decrements", sides.size)
+                ids, counts = unique_counts(sides)
                 left = sup[ids] - counts
                 sup[ids] = left
                 # only an edge whose support just dropped can newly fall

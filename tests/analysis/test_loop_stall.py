@@ -43,7 +43,7 @@ def run_loop_with_watchdog(watchdog, blocking_s=0.0, spins=1):
     return watchdog
 
 
-def test_blocking_callback_is_recorded():
+def test_blocking_callback_is_recorded(capsys):
     w = run_loop_with_watchdog(
         LoopStallWatchdog(threshold_ms=30.0), blocking_s=0.1
     )
@@ -54,7 +54,10 @@ def test_blocking_callback_is_recorded():
     stack = w.stalls[0].stack
     assert stack == "" or "time.sleep" in stack
     assert "ms in" in w.stalls[0].format()
-    w.check()  # non-strict: recorded, not fatal
+    w.check()  # non-strict: recorded and reported, not fatal
+    err = capsys.readouterr().err
+    assert err.count("event loop stall: ") == len(w.stalls)
+    assert w.stalls[0].format() in err
 
 
 def test_strict_mode_raises_on_check():

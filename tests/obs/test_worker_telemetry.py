@@ -38,8 +38,9 @@ WORKER_COUNTERS = (
 
 #: With ``min_items=0`` every increment of these counters happens
 #: *inside a worker task*, so their per-worker span partials must also
-#: reduce to the serial totals.
-WORKER_SPAN_COUNTERS = WORKER_COUNTERS
+#: reduce to the serial totals. Support and peel decrements are counted
+#: on the coordinator on every backend.
+WORKER_SPAN_COUNTERS = ("repro.equitruss.superedge_candidates",)
 
 
 def _noisy_fn(x):

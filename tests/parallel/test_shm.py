@@ -297,23 +297,22 @@ def test_serial_context_has_no_shared_pool():
 @pytest.mark.process_backend
 @needs_fork
 def test_kernel_workers_run_in_process():
-    from repro.triangles.support import _w_support_partial
-    from repro.truss.decompose import _w_decrement_partial
+    from repro.equitruss.merge import _w_superedge_chunk, generate_superedges
+    from repro.parallel.shm import import_array
 
     pool = SharedArrayPool()
     try:
-        m = 8
-        uv = np.array([0, 1, 2, 0], dtype=np.int64)
-        handles = [pool.share(k, uv)[1] for k in ("uv", "uw", "vw")]
-        partials, out_h = pool.take("p", (1, m), np.int64)
-        n = _w_support_partial(*handles, 0, 4, m, out_h, 0)
-        assert n == 4
-        assert np.array_equal(partials[0], 3 * np.bincount(uv, minlength=m))
-
-        sides = np.array([3, 3, 1], dtype=np.int64)
-        _, sides_h = pool.share("sides", sides)
-        dec, dec_h = pool.take("dec", (1, m), np.int64)
-        _w_decrement_partial(sides_h, 0, 3, m, dec_h, 0)
-        assert np.array_equal(dec[0], np.bincount(sides, minlength=m))
+        comp = np.array([0, 0, 2, 2, 4, 4], dtype=np.int64)
+        se_lo = np.array([0, 1, 2, 5, 3], dtype=np.int64)
+        se_hi = np.array([2, 3, 4, 0, 1], dtype=np.int64)
+        handles = [
+            pool.share(k, a)[1]
+            for k, a in (("comp", comp), ("lo", se_lo), ("hi", se_hi))
+        ]
+        pairs = import_array(
+            _w_superedge_chunk(*handles, 0, se_lo.size, comp.size)
+        )
+        (serial,) = generate_superedges(comp, se_lo, se_hi)[0]
+        assert np.array_equal(pairs, serial)
     finally:
         pool.close()

@@ -11,7 +11,8 @@ move every ``every_pair`` pair of the old and the new index must come
 back over the wire equal to an engine built from scratch on the
 writer's graph. Local answers must happen exactly while the table
 describes what every shard serves, and ``local_answers`` and
-``table_generation`` in ``stats`` show it.
+``table_generation`` in ``stats`` show it. Vertices that a refresh or a
+swap adds must be in range over the wire.
 """
 
 import itertools
@@ -23,7 +24,11 @@ import numpy as np
 import pytest
 
 from repro.equitruss import DynamicEquiTruss, build_index
-from repro.errors import ShardUnavailableError, WireProtocolError
+from repro.errors import (
+    InvalidParameterError,
+    ShardUnavailableError,
+    WireProtocolError,
+)
 from repro.graph import CSRGraph
 from repro.graph.generators import erdos_renyi_gnm
 from repro.serve import QueryEngine, ServeClient
@@ -249,6 +254,49 @@ def test_shard_respawned_after_a_journal_replay_serves_its_generation(store):
                 served, served,
             ]
             check_pairs(client, refreshed_graph, base, refreshed, dyn.index)
+
+
+def add_clique(dyn, members):
+    """Insert a clique on ``members``, ids past the graph's included."""
+    us, vs = zip(*itertools.combinations(members, 2))
+    dyn.insert_edges(list(us), list(vs))
+
+
+def check_new_vertices(client, graph, vertices):
+    pairs = [(v, k) for v in vertices for k in (3, 4)]
+    expected = engine_answers(graph, pairs)
+    assert wire_answers(client, pairs) == expected
+    assert all(expected[(v, 4)] for v in vertices)  # each sits in a K4
+
+
+def test_vertices_added_by_a_refresh_or_a_swap_are_in_range(store):
+    graph, path = store
+    n = graph.num_vertices
+    journal = StoreJournal.for_store(path)
+    dyn = DynamicEquiTruss(graph, "afforest")
+    dyn.publish_to(journal)
+    config = FrontendConfig(store_path=path, num_shards=2)
+    with FrontendThread(config) as server:
+        with ServeClient(server.host, server.port) as client:
+            assert frontend_stats(client)["num_vertices"] == n
+            add_clique(dyn, [0, n, n + 1, n + 2])
+            assert [r["applied"] for r in client.refresh()] == [1, 1]
+            check_new_vertices(client, dyn.graph, [n, n + 1, n + 2])
+            assert frontend_stats(client)["num_vertices"] == n + 3
+            check_pairs(client, dyn.graph, dyn.index)
+
+            add_clique(dyn, [n + 3, n + 4, n + 5, n + 6])
+            swap = journal.generation + 1
+            build_index(dyn.graph, "afforest", store_path=path,
+                        store_generation=swap)
+            journal.reset(swap)
+            assert all(r["swapped"] for r in client.refresh())
+            check_new_vertices(client, dyn.graph, [n + 3, n + 4, n + 5, n + 6])
+            assert frontend_stats(client)["num_vertices"] == n + 7
+            check_pairs(client, dyn.graph, dyn.index)
+            (resp,) = client.query_pipeline([(n + 7, 3)]).values()
+            with pytest.raises(InvalidParameterError, match="out of range"):
+                raise_for_error(resp)
 
 
 def test_shard_refresh_until_must_be_an_integer(store):

@@ -66,20 +66,6 @@ def test_incidence_matches_support():
             assert e in tri.as_matrix()[t]
 
 
-def test_incidence_partners():
-    g = CSRGraph.from_edgelist(complete_graph(4))
-    tri = enumerate_triangles(g)
-    inc = EdgeTriangleIncidence(tri)
-    eids = np.concatenate([tri.e_uv, tri.e_uw, tri.e_vw])
-    tids = np.concatenate([np.arange(tri.count)] * 3)
-    p1, p2 = inc.partners(eids, tids)
-    mat = tri.as_matrix()
-    for i in range(eids.size):
-        row = set(mat[tids[i]].tolist())
-        assert {int(eids[i]), int(p1[i]), int(p2[i])} == row
-        assert int(p1[i]) != int(eids[i]) and int(p2[i]) != int(eids[i])
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_property_support_sums_to_3T(seed):

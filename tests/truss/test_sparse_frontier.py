@@ -106,3 +106,29 @@ def test_process_peel_matches_reference_and_pinned_schedule(name):
         _check(name, ctx)
     finally:
         ctx.close()
+
+
+@pytest.mark.process_backend
+@pytest.mark.skipif(
+    not process_backend_available(),
+    reason="fork or POSIX shared memory unavailable",
+)
+def test_process_peel_runs_on_the_coordinator():
+    """Support and decrement counts come from the incidence and the
+    sorted ``sides`` on every backend: no worker task runs under
+    TrussDecomp, and the result equals the serial run's."""
+    graph = GRAPHS["rmat_10"]()
+    serial = truss_decomposition(graph, ctx=ExecutionContext(backend="serial"))
+    ctx = ExecutionContext(backend=ProcessBackend(min_items=0), num_workers=2)
+    try:
+        dec = truss_decomposition(graph, ctx=ctx)
+    finally:
+        ctx.close()
+    (peel,) = [s for s, _ in ctx.tracer.walk() if s.name == "TrussDecomp"]
+    workers = [s.name for s, _ in peel.walk() if "worker_id" in s.attrs]
+    assert workers == []
+    # the enumeration before the region still fans out
+    assert any("worker_id" in s.attrs for s, _ in ctx.tracer.walk())
+    assert np.array_equal(dec.trussness, serial.trussness)
+    assert np.array_equal(dec.support, serial.support)
+    assert dec.peel_rounds == serial.peel_rounds
